@@ -15,23 +15,25 @@ satisfies l_star <= ceil(2/gamma) - 1, and at k = 1 it equals that bound
 (2m + 1) for every m <= 15.  ``best_l`` scans three steps past the
 bound.
 
-All functions are pure; table cells can be computed in parallel and the
-results are deterministic regardless of evaluation order.
+All functions are pure.  ``table`` computes its cells serially in a
+fixed order (m ascending, then k ascending), and each cell depends only
+on its own (m, k).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from .optimize import maximize_on_unit_interval
-from .special_functions import gamma_chi, theta_truncated
-
-ArrayLike = Union[float, np.ndarray]
+from .special_functions import (
+    ArrayLike,
+    check_unit_interval,
+    full_like,
+    gamma_chi,
+    theta_truncated,
+)
 
 
 @dataclass(frozen=True)
@@ -86,18 +88,10 @@ def theta_ratio(t: ArrayLike, gamma: float, l: int) -> ArrayLike:
     if l < 1:
         raise ValueError("l must be a positive integer")
     num = theta_truncated(t, gamma, l)
-    if np.ndim(t) == 0:
-        tt = float(t)
-        den, p = 1.0, 1.0
-        for _ in range(l - 1):
-            p *= tt
-            den += p
-        return num / den
-    arr = np.asarray(t, dtype=float)
-    den = np.ones_like(arr)
-    p = np.ones_like(arr)
+    t = check_unit_interval(t, hi_open=False)
+    den = p = full_like(t, 1.0)
     for _ in range(l - 1):
-        p = p * arr
+        p = p * t
         den = den + p
     return num / den
 
@@ -175,13 +169,10 @@ def kupavskii_upper_base(m: int) -> float:
     return 2.0 * (math.sqrt(m) + 1.0)
 
 
-def table(
-    m_max: int, k_max: int, tol: float = 1e-12, max_workers: int = 1
-) -> List[BoundResult]:
+def table(m_max: int, k_max: int, tol: float = 1e-12) -> List[BoundResult]:
     """All cells (m, k) with 1 <= m <= m_max and 1 <= k <= min(m, k_max).
 
-    Ordered by m ascending, then k ascending, independent of how many
-    workers compute the cells.
+    Computed serially, ordered by m ascending, then k ascending.
     """
     if m_max < 1 or k_max < 1:
         raise ValueError("m_max and k_max must be positive integers")
@@ -190,7 +181,4 @@ def table(
         for m in range(1, m_max + 1)
         for k in range(1, min(m, k_max) + 1)
     ]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda q: chromatic_lower_bound(q, tol), queries))
     return [chromatic_lower_bound(q, tol) for q in queries]

@@ -10,8 +10,7 @@ Subcommands::
 
 Output formats: plain (default), json, csv.  A key=value config file
 (``--config``) can preset ``tol``, ``K`` and ``format``; explicit flags
-win.  The environment variable CHROMABOUND_THREADS caps internal
-parallelism (table cells); output ordering never depends on it.
+win.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors.
 """
@@ -21,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -47,19 +45,16 @@ from .verify import SUITES, run_suites
 _FORMATS = ("plain", "json", "csv")
 _DEFAULT_TOL = 1e-9
 _DEFAULT_K = 512
+_MIN_SERIES_K = 16
 
-
-def _thread_cap() -> int:
-    raw = os.environ.get("CHROMABOUND_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise click.UsageError("CHROMABOUND_THREADS must be a positive integer")
-    return value
+# Input caps.  Each of bound --m 500, table at 50 x 50, and lattice-mu
+# for leech or dn:64 at K = 8192 takes under 20 s on a 2-vCPU machine;
+# larger inputs are usage errors rather than runs of hours.
+MAX_M = 500
+MAX_TABLE_M = 50
+MAX_TABLE_K = 50
+MAX_SERIES_K = 8192
+MAX_DN = 64
 
 
 def _load_config(path: Optional[str]) -> Dict[str, str]:
@@ -202,8 +197,11 @@ def constants(cfg: Dict[str, str], tol: Optional[float], fmt: Optional[str], out
 
 
 @cli.command()
-@click.option("--m", "m", type=int, required=True, help="Number of forbidden distances.")
-@click.option("--k", "k", type=int, required=True, help="Clique parameter.")
+@click.option(
+    "--m", "m", type=click.IntRange(1, MAX_M), required=True,
+    help="Number of forbidden distances.",
+)
+@click.option("--k", "k", type=click.IntRange(min=1), required=True, help="Clique parameter.")
 @click.option("--tol", type=float, default=None)
 @click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -217,8 +215,6 @@ def bound(
     output: Optional[str],
 ) -> None:
     """Lower bound for one (m, k) cell."""
-    if m < 1 or k < 1:
-        raise click.UsageError("m and k must be positive integers")
     tol = _resolve_tol(tol, cfg)
     fmt = _resolve_format(fmt, cfg)
     result = chromatic_lower_bound(BoundQuery(m=m, k=k), tol)
@@ -232,8 +228,8 @@ def bound(
 
 
 @cli.command(name="table")
-@click.option("--m-max", type=int, required=True)
-@click.option("--k-max", type=int, required=True)
+@click.option("--m-max", type=click.IntRange(1, MAX_TABLE_M), required=True)
+@click.option("--k-max", type=click.IntRange(1, MAX_TABLE_K), required=True)
 @click.option("--tol", type=float, default=None)
 @click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -247,11 +243,9 @@ def table_cmd(
     output: Optional[str],
 ) -> None:
     """Full lower-bound grid, m ascending then k ascending."""
-    if m_max < 1 or k_max < 1:
-        raise click.UsageError("m-max and k-max must be positive integers")
     tol = _resolve_tol(tol, cfg)
     fmt = _resolve_format(fmt, cfg)
-    results = table(m_max, k_max, tol, max_workers=_thread_cap())
+    results = table(m_max, k_max, tol)
     records = [r.to_dict() for r in results]
     if fmt == "plain":
         _deliver(_render_table_plain(records, tol), output)
@@ -271,8 +265,8 @@ def _mu_for_label(label: str, K: int, tol: float) -> MuResult:
             n = int(label.split(":", 1)[1])
         except ValueError:
             raise click.UsageError(f"bad lattice label {label!r}")
-        if n < 1:
-            raise click.UsageError("dn:<n> needs a positive n")
+        if not 1 <= n <= MAX_DN:
+            raise click.UsageError(f"dn:<n> needs 1 <= n <= {MAX_DN}")
         return mu_lattice(dn_series(n, K), tol)
     raise click.UsageError(
         f"unknown lattice {label!r}; use zn, dn:<n>, e8 or leech"
@@ -280,8 +274,13 @@ def _mu_for_label(label: str, K: int, tol: float) -> MuResult:
 
 
 @cli.command(name="lattice-mu")
-@click.option("--lattice", "label", required=True, help="zn, dn:<n>, e8 or leech.")
-@click.option("--K", "series_k", type=int, default=None, help="Series truncation index.")
+@click.option(
+    "--lattice", "label", required=True, help=f"zn, dn:<n> with n <= {MAX_DN}, e8 or leech."
+)
+@click.option(
+    "--K", "series_k", type=int, default=None,
+    help=f"Series truncation index, {_MIN_SERIES_K} to {MAX_SERIES_K}.",
+)
 @click.option("--tol", type=float, default=None)
 @click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -298,8 +297,8 @@ def lattice_mu(
     tol = _resolve_tol(tol, cfg)
     fmt = _resolve_format(fmt, cfg)
     K = _resolve_k(series_k, cfg)
-    if K < 16:
-        raise click.UsageError("K must be at least 16")
+    if not _MIN_SERIES_K <= K <= MAX_SERIES_K:
+        raise click.UsageError(f"K must lie in [{_MIN_SERIES_K}, {MAX_SERIES_K}]")
     try:
         result = _mu_for_label(label, K, tol)
     except TailBoundError as exc:

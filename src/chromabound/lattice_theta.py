@@ -29,14 +29,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
-from .optimize import golden_section_max, maximize_on_unit_interval
-from .special_functions import jacobi_theta
-
-ArrayLike = Union[float, np.ndarray]
+from .optimize import GRID_POINTS, golden_section_max, maximize_on_unit_interval
+from .special_functions import ArrayLike, check_unit_interval, full_like, jacobi_theta
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -77,8 +75,8 @@ class ThetaSeries:
         return len(self.coeffs) - 1
 
     @cached_property
-    def _float_coeffs(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs])
+    def _float_coeffs_high_first(self) -> Tuple[float, ...]:
+        return tuple(float(c) for c in reversed(self.coeffs))
 
     @cached_property
     def _amplitude(self) -> float:
@@ -93,18 +91,10 @@ class ThetaSeries:
 
     def evaluate(self, t: ArrayLike) -> ArrayLike:
         """Truncated series value  sum_j N_j t^(2j)  for t in [0, 1)."""
-        arr = np.asarray(t, dtype=float)
-        if np.any((arr < 0.0) | (arr >= 1.0)):
-            raise ValueError("t must lie in [0, 1)")
-        if np.ndim(t) == 0:
-            u = float(arr) ** 2
-            acc = 0.0
-            for c in self._float_coeffs[::-1]:
-                acc = acc * u + c
-            return float(acc)
-        u = arr * arr
-        acc = np.zeros_like(u)
-        for c in self._float_coeffs[::-1]:
+        t = check_unit_interval(t, hi_open=True)
+        u = t ** 2
+        acc = full_like(t, 0.0)
+        for c in self._float_coeffs_high_first:
             acc = acc * u + c
         return acc
 
@@ -114,9 +104,7 @@ class ThetaSeries:
         Uses N_j <= A j^g and (1 + i/(K+1))^g <= exp(g i / (K+1)); infinite
         where the resulting geometric comparison does not converge.
         """
-        arr = np.asarray(t, dtype=float)
-        if np.any((arr < 0.0) | (arr >= 1.0)):
-            raise ValueError("t must lie in [0, 1)")
+        arr = np.asarray(check_unit_interval(t, hi_open=True))
         u = arr * arr
         kp1 = len(self.coeffs)
         growth = math.exp(self.growth_exponent / kp1)
@@ -124,7 +112,7 @@ class ThetaSeries:
         lead = self._amplitude * float(kp1) ** self.growth_exponent
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             tail = np.where(denom > 0.0, lead * u ** kp1 / np.maximum(denom, 1e-300), np.inf)
-        return float(tail) if np.ndim(t) == 0 else tail
+        return tail if arr.ndim else float(tail)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -288,9 +276,7 @@ def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     )
 
 
-def mu_lattice(
-    series: ThetaSeries, tol: float = 1e-9, grid_points: int = 4096
-) -> MuResult:
+def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
     """Maximize theta(t)(1-t)^d over (0, 1) and report mu = (max)^(-1/d).
 
     Only t with a certified truncation tail below ``tol`` participate; if
@@ -300,7 +286,7 @@ def mu_lattice(
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = series.dim
-    ts = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
+    ts = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
     tails = series.tail_bound(ts)
     mask = tails < tol  # certified prefix: the tail bound increases with t
     certified = len(ts) if bool(mask.all()) else int(np.argmin(mask))

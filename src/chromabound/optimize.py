@@ -14,6 +14,12 @@ import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Interior points of the grid scan.
+GRID_POINTS = 4096
+
+#: Highest local grid maxima refined by golden section.
+RESTARTS = 3
+
 
 def golden_section_max(
     f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-12
@@ -37,30 +43,25 @@ def golden_section_max(
 
 
 def maximize_on_unit_interval(
-    f: Callable,
-    grid_points: int = 4096,
-    xtol: float = 1e-12,
-    restarts: int = 3,
+    f: Callable, xtol: float = 1e-12
 ) -> Tuple[float, float]:
     """Global maximum of ``f`` on (0, 1).
 
     ``f`` must accept both a float and a 1-d ndarray.  The grid scan uses
-    ``grid_points`` interior points; the ``restarts`` highest local grid
-    maxima (plus the grid endpoints) are refined by golden section, which
-    guards against picking a secondary hump.
+    ``GRID_POINTS`` interior points; the ``RESTARTS`` highest candidates
+    among the local grid maxima and the grid endpoints are refined by
+    golden section, which guards against picking a secondary hump.
 
     Returns ``(x_star, value)``.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    ts = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
+    ts = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
     vals = np.asarray(f(ts), dtype=float)
     n = len(ts)
 
     interior = np.nonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
     candidates = set(int(i) for i in interior)
     candidates.update((0, n - 1))
-    top = sorted(candidates, key=lambda i: vals[i], reverse=True)[:restarts]
+    top = sorted(candidates, key=lambda i: vals[i], reverse=True)[:RESTARTS]
 
     best_x = float(ts[int(np.argmax(vals))])
     best_v = float(np.max(vals))

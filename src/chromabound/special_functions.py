@@ -17,9 +17,10 @@ which doubles as a correctness check, and the growth constant
 
 is the asymptotic rate extracted from it.
 
-All evaluators accept a float or an ndarray for the series argument,
-are pure functions of their arguments, and hold no shared state, so
-they are safe to call concurrently.
+All evaluators accept a float or an ndarray for the series argument.
+A float (or any 0-d argument) returns a Python float, and an ndarray
+returns an ndarray of the same shape.  The evaluators are pure
+functions of their arguments and hold no shared state.
 """
 
 from __future__ import annotations
@@ -41,55 +42,6 @@ _MAX_TERMS = 5_000_000
 
 
 @dataclass(frozen=True)
-class ExponentialSum:
-    """Finite sum  sum_i c_i * t^(e_i)  with strictly increasing exponents.
-
-    Used to represent truncated partial theta numerators and geometric
-    denominators as explicit term lists.  Evaluation defines t**0 = 1 even
-    at t = 0, so sums with a constant term are continuous on [0, 1].
-    """
-
-    terms: Tuple[Tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        prev = -math.inf
-        for coeff, expo in self.terms:
-            if not (math.isfinite(coeff) and math.isfinite(expo)):
-                raise ValueError("coefficients and exponents must be finite")
-            if expo < 0:
-                raise ValueError(f"negative exponent {expo}")
-            if expo <= prev:
-                raise ValueError("exponents must be strictly increasing")
-            prev = expo
-
-    @classmethod
-    def theta_truncation(cls, gamma: float, l: int) -> "ExponentialSum":
-        """The l-term sum  sum_{j=1..l} t^(gamma * j(j-1)/2)."""
-        if l < 1:
-            raise ValueError("l must be a positive integer")
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return cls(tuple((1.0, gamma * j * (j - 1) / 2.0) for j in range(1, l + 1)))
-
-    @classmethod
-    def geometric(cls, l: int) -> "ExponentialSum":
-        """The l-term sum  1 + t + ... + t^(l-1)."""
-        if l < 1:
-            raise ValueError("l must be a positive integer")
-        return cls(tuple((1.0, float(i)) for i in range(l)))
-
-    def __call__(self, t: ArrayLike) -> ArrayLike:
-        arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(arr)
-        for coeff, expo in self.terms:
-            if expo == 0.0:
-                out = out + coeff
-            else:
-                out = out + coeff * np.power(arr, expo)
-        return float(out) if np.ndim(t) == 0 else out
-
-
-@dataclass(frozen=True)
 class GammaChiResult:
     """The constant sqrt(pi/2) * max (1 - e^-u)/sqrt(u) with its maximizer."""
 
@@ -102,13 +54,36 @@ class GammaChiResult:
         return abs(math.exp(self.u_star) - 1.0 - 2.0 * self.u_star)
 
 
-def _check_domain(t: ArrayLike, hi_open: bool, name: str = "t") -> np.ndarray:
+def check_unit_interval(t: ArrayLike, hi_open: bool, name: str = "t") -> ArrayLike:
+    """Validate a series argument against [0, 1] (or [0, 1) if ``hi_open``).
+
+    A 0-d argument comes back as a Python float and anything else as a
+    float ndarray, so one evaluator body runs Python arithmetic on the
+    first and numpy arithmetic on the second.
+    """
     arr = np.asarray(t, dtype=float)
+    if arr.ndim == 0:
+        arr = float(arr)
     bad = (arr < 0.0) | (arr >= 1.0 if hi_open else arr > 1.0)
-    if np.any(bad):
+    if _any(bad):
         rng = "[0, 1)" if hi_open else "[0, 1]"
         raise ValueError(f"{name} must lie in {rng}")
     return arr
+
+
+def full_like(t: ArrayLike, value: float) -> ArrayLike:
+    """``value`` as a float for a float ``t``, else as an array shaped like ``t``."""
+    return value if isinstance(t, float) else np.full_like(t, value)
+
+
+# A float argument gives plain bools, which skip the microsecond cost of
+# a numpy reduction inside per-term loops.
+def _any(mask) -> bool:
+    return mask if isinstance(mask, bool) else bool(mask.any())
+
+
+def _all(mask) -> bool:
+    return mask if isinstance(mask, bool) else bool(mask.all())
 
 
 def theta_truncated(t: ArrayLike, gamma: float, l: int) -> ArrayLike:
@@ -122,22 +97,10 @@ def theta_truncated(t: ArrayLike, gamma: float, l: int) -> ArrayLike:
         raise ValueError("l must be a positive integer")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    arr = _check_domain(t, hi_open=False)
-    if np.ndim(t) == 0:
-        tt = float(arr)
-        if tt == 0.0 or l == 1:
-            return 1.0
-        r = tt ** gamma
-        total, term, q = 1.0, 1.0, r
-        for _ in range(l - 1):
-            term *= q
-            total += term
-            q *= r
-        return total
-    r = np.power(arr, gamma)
-    total = np.ones_like(arr)
-    term = np.ones_like(arr)
-    q = r.copy()
+    t = check_unit_interval(t, hi_open=False)
+    r = t ** gamma
+    total = term = full_like(t, 1.0)
+    q = r
     for _ in range(l - 1):
         term = term * q
         total = total + term
@@ -151,36 +114,23 @@ def theta_full(t: ArrayLike, gamma: float = 1.0, tail_tol: float = 1e-15) -> Arr
     Terms are accumulated until the next term is below 1e-18 of the partial
     sum and an explicit geometric tail bound (consecutive term ratios are
     t^(gamma*j), decreasing in j) certifies the remainder below
-    ``tail_tol`` relative to the sum.
+    ``tail_tol`` relative to the sum.  An array stops once every point
+    meets both tests.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
-    arr = _check_domain(t, hi_open=True)
-    if np.ndim(t) == 0:
-        tt = float(arr)
-        if tt == 0.0:
-            return 1.0
-        r = tt ** gamma
-        total, term, q = 1.0, 1.0, r
-        for _ in range(_MAX_TERMS):
-            nxt = term * q          # term j+1
-            step = q * r            # ratio of term j+2 to term j+1
-            if nxt < _TERM_CUTOFF * total and nxt <= tail_tol * total * (1.0 - step):
-                return total
-            total += nxt
-            term, q = nxt, step
-        raise RuntimeError("series did not converge within the term budget")
-    r = np.power(arr, gamma)
-    total = np.ones_like(arr)
-    term = np.ones_like(arr)
-    q = r.copy()
+    t = check_unit_interval(t, hi_open=True)
+    r = t ** gamma
+    total = term = full_like(t, 1.0)
+    q = r
     for _ in range(_MAX_TERMS):
-        nxt = term * q
-        step = q * r
-        done = (nxt < _TERM_CUTOFF * total) & (nxt <= tail_tol * total * (1.0 - step))
-        if np.all(done):
+        nxt = term * q          # term j+1
+        step = q * r            # ratio of term j+2 to term j+1
+        if _all(nxt < _TERM_CUTOFF * total) and _all(
+            nxt <= tail_tol * total * (1.0 - step)
+        ):
             return total
         total = total + nxt
         term, q = nxt, step
@@ -198,8 +148,8 @@ def jacobi_theta(kind: int, q: ArrayLike) -> ArrayLike:
     """
     if kind not in (2, 3, 4):
         raise ValueError("kind must be one of 2, 3, 4")
-    arr = _check_domain(q, hi_open=True, name="q")
-    scalar = np.ndim(q) == 0
+    arr = check_unit_interval(q, hi_open=True, name="q")
+    scalar = isinstance(arr, float)
     a = np.atleast_1d(arr).astype(float)
 
     if kind == 2:

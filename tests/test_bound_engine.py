@@ -160,11 +160,6 @@ class TestTable:
     def test_values_exceed_one(self):
         assert all(r.value > 1.0 for r in table(4, 4))
 
-    def test_parallel_matches_serial(self):
-        serial = table(3, 2)
-        threaded = table(3, 2, max_workers=4)
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in threaded]
-
 
 class TestStructuralInequalities:
     def test_best_l_dominates_theta_floor(self):

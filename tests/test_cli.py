@@ -6,7 +6,9 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from chromabound.cli import cli
+import chromabound.cli as cli_module
+from chromabound import BoundQuery, chromatic_lower_bound, dn_series, e8_series, table
+from chromabound.cli import MAX_DN, MAX_M, MAX_SERIES_K, MAX_TABLE_K, MAX_TABLE_M, cli
 
 
 @pytest.fixture
@@ -81,20 +83,6 @@ class TestTable:
         assert values[(2, 1)] == pytest.approx(1.466299, abs=1e-6)
         assert values[(3, 2)] == pytest.approx(values[(1, 1)], abs=1e-9)
 
-    def test_thread_cap_does_not_change_output(self, runner):
-        args = ["table", "--m-max", "3", "--k-max", "3", "--format", "csv"]
-        serial = runner.invoke(cli, args, env={"CHROMABOUND_THREADS": "1"})
-        threaded = runner.invoke(cli, args, env={"CHROMABOUND_THREADS": "4"})
-        assert serial.stdout == threaded.stdout
-
-    def test_bad_thread_env_is_usage_error(self, runner):
-        result = runner.invoke(
-            cli,
-            ["table", "--m-max", "1", "--k-max", "1"],
-            env={"CHROMABOUND_THREADS": "zero"},
-        )
-        assert result.exit_code == 2
-
     def test_output_file(self, runner, tmp_path):
         target = tmp_path / "table.csv"
         result = runner.invoke(
@@ -143,6 +131,49 @@ class TestLatticeMu:
     def test_k_floor(self, runner):
         result = runner.invoke(cli, ["lattice-mu", "--lattice", "e8", "--K", "8"])
         assert result.exit_code == 2
+
+
+class TestInputCaps:
+    """Each cap is admitted, cap + 1 is a usage error, and --help shows it."""
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        # Record what reaches the engine and compute a small stand-in, so
+        # that a run at the cap costs milliseconds.
+        calls = []
+        monkeypatch.setattr(
+            cli_module, "chromatic_lower_bound",
+            lambda q, tol: calls.append(q) or chromatic_lower_bound(BoundQuery(1, 1), tol),
+        )
+        monkeypatch.setattr(
+            cli_module, "table",
+            lambda m_max, k_max, tol: calls.append((m_max, k_max)) or table(1, 1, tol),
+        )
+        monkeypatch.setattr(cli_module, "e8_series", lambda K: calls.append(K) or e8_series(128))
+        monkeypatch.setattr(
+            cli_module, "dn_series", lambda n, K: calls.append((n, K)) or dn_series(8, 64)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "args, cap, reaches_engine",
+        [
+            (["bound", "--m", "{}", "--k", "1"], MAX_M, lambda c: BoundQuery(c, 1)),
+            (["table", "--m-max", "{}", "--k-max", "1"], MAX_TABLE_M, lambda c: (c, 1)),
+            (["table", "--m-max", "1", "--k-max", "{}"], MAX_TABLE_K, lambda c: (1, c)),
+            (["lattice-mu", "--lattice", "e8", "--K", "{}"], MAX_SERIES_K, lambda c: c),
+            (["lattice-mu", "--lattice", "dn:{}", "--K", "64"], MAX_DN, lambda c: (c, 64)),
+        ],
+        ids=["bound-m", "table-m-max", "table-k-max", "lattice-K", "lattice-dn"],
+    )
+    def test_cap(self, runner, engine_calls, args, cap, reaches_engine):
+        at_cap = runner.invoke(cli, [a.format(cap) for a in args])
+        assert at_cap.exit_code == 0, at_cap.output
+        assert engine_calls == [reaches_engine(cap)]
+        over = runner.invoke(cli, [a.format(cap + 1) for a in args])
+        assert over.exit_code == 2
+        assert len(engine_calls) == 1
+        assert str(cap) in runner.invoke(cli, [args[0], "--help"]).output
 
 
 class TestVerify:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from chromabound import (
-    ExponentialSum,
+    e8_series,
     functional_equation_residual,
     gamma_chi,
     jacobi_theta,
     one_minus_t_theta_max,
     theta_full,
+    theta_ratio,
     theta_truncated,
 )
 
@@ -50,11 +51,6 @@ class TestThetaTruncated:
                     assert theta_truncated(t, gamma, l) == pytest.approx(
                         direct_partial_theta(t, gamma, l), rel=1e-13
                     )
-
-    def test_matches_exponential_sum_representation(self):
-        for t in (0.0, 0.3, 0.9):
-            series = ExponentialSum.theta_truncation(0.4, 6)
-            assert theta_truncated(t, 0.4, 6) == pytest.approx(series(t), rel=1e-13)
 
     def test_monotone_in_l(self):
         values = [theta_truncated(0.6, 0.5, l) for l in range(1, 20)]
@@ -192,20 +188,33 @@ class TestOneMinusTThetaMax:
             assert (1 - (t_star + dt)) * theta_full(t_star + dt, 0.5) <= value + 1e-12
 
 
-class TestExponentialSum:
-    def test_rejects_unordered_exponents(self):
-        with pytest.raises(ValueError):
-            ExponentialSum(((1.0, 1.0), (1.0, 0.5)))
+_E8 = e8_series(64)
 
-    def test_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            ExponentialSum(((1.0, -0.5),))
 
-    def test_geometric_matches_closed_form(self):
-        series = ExponentialSum.geometric(5)
-        t = 0.3
-        assert series(t) == pytest.approx((1 - t ** 5) / (1 - t), rel=1e-14)
+@pytest.mark.parametrize("gamma", [0.07, 1.0 / 3.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "f, rel",
+    [
+        pytest.param(lambda t, g: theta_truncated(t, g, 1), 1e-12, id="theta_truncated-l1"),
+        pytest.param(lambda t, g: theta_truncated(t, g, 9), 1e-12, id="theta_truncated-l9"),
+        pytest.param(lambda t, g: theta_full(t, g), 1e-11, id="theta_full"),
+        pytest.param(lambda t, g: theta_ratio(t, g, 1), 1e-12, id="theta_ratio-l1"),
+        pytest.param(lambda t, g: theta_ratio(t, g, 9), 1e-12, id="theta_ratio-l9"),
+        pytest.param(lambda t, g: _E8.evaluate(t), 1e-12, id="ThetaSeries.evaluate"),
+    ],
+)
+def test_scalar_array_contract(f, rel, gamma):
+    """A float in gives a float out; an array gives an array of its shape.
 
-    def test_evaluates_at_zero(self):
-        series = ExponentialSum.theta_truncation(0.5, 4)
-        assert series(0.0) == 1.0
+    The two paths may differ by an ulp per power (numpy against libm
+    pow), and an array keeps summing theta_full until every point has
+    converged, hence the tolerances.
+    """
+    for t in (0.0, 0.3, np.float64(0.3), np.array(0.3)):
+        assert type(f(t, gamma)) is float
+    ts = np.linspace(0.0, 1.0, 4096, endpoint=False)
+    for arr in (ts, ts.reshape(64, 64), np.zeros(5)):
+        out = f(arr, gamma)
+        assert isinstance(out, np.ndarray) and out.shape == arr.shape
+    scalars = np.array([f(float(t), gamma) for t in ts])
+    np.testing.assert_allclose(f(ts, gamma), scalars, rtol=rel, atol=0.0)
