@@ -12,8 +12,7 @@ ratio R_l(t) into the mediant of R_l(t) and t^(gamma*l(l+1)/2 - l), so
 R_{l+1}(t) lies between the two.  The exponent is nonnegative once
 l >= 2/gamma - 1, and then t^(...) <= 1 <= max R_l; hence the argmax
 satisfies l_star <= ceil(2/gamma) - 1, and at k = 1 it equals that bound
-(2m + 1) for every m <= 15.  ``best_l`` scans three steps past the
-bound.
+(2m + 1) for every m <= 15.  ``best_l`` scans exactly this window.
 
 All functions are pure.  ``table`` computes its cells serially in a
 fixed order (m ascending, then k ascending), and each cell depends only
@@ -118,17 +117,19 @@ def maximize_over_t(gamma: float, l: int, tol: float = 1e-12) -> Tuple[float, fl
 def best_l(gamma: float, tol: float = 1e-12) -> Tuple[int, float, float]:
     """Maximize the ratio jointly over t and the term count l.
 
-    Scans l = 1 .. ceil(2/gamma) + 2 and returns
-    ``(l_star, t_star, value)``.  Ties break toward smaller l.  By the
-    mediant argument in the module docstring the argmax satisfies
-    l_star <= ceil(2/gamma) - 1, attained at k = 1 (l_star = 2m + 1) for
-    every m <= 15 (checked at 60 significant digits).  In exact
-    arithmetic the last three scanned l cannot win.
+    Scans l = 1 .. ceil(2/gamma) - 1 and returns
+    ``(l_star, t_star, value)``; for gamma >= 1 that is at most l = 1,
+    and the result is ``(1, 0.0, 1.0)``.  Ties break toward smaller l.
+    By the mediant argument in the module docstring no l past the window
+    can win; the window is attained at k = 1 (l_star = 2m + 1) for every
+    m <= 15 (checked at 60 significant digits).  For gamma = k/(m+1) the
+    float ceil(2/gamma) is never below the exact ceil(2(m+1)/k) (checked
+    for m, k <= 500), so rounding can add one l but never drop one.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     l_star, t_star, value = 1, 0.0, 1.0
-    for l in range(1, math.ceil(2.0 / gamma) + 3):
+    for l in range(1, math.ceil(2.0 / gamma)):
         t, v = maximize_over_t(gamma, l, tol)
         if v > value:
             l_star, t_star, value = l, t, v

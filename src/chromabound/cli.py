@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -83,8 +84,8 @@ def _resolve_tol(flag: Optional[float], cfg: Dict[str, str]) -> float:
             raise click.UsageError(f"config tol is not a number: {cfg['tol']}")
     else:
         tol = _DEFAULT_TOL
-    if tol <= 0:
-        raise click.UsageError("tol must be positive")
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise click.UsageError("tol must be a positive finite number")
     return tol
 
 

@@ -33,8 +33,14 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .optimize import GRID_POINTS, golden_section_max, maximize_on_unit_interval
-from .special_functions import ArrayLike, check_unit_interval, full_like, jacobi_theta
+from .optimize import GRID, maximize_on_unit_interval
+from .special_functions import (
+    ArrayLike,
+    check_unit_interval,
+    full_like,
+    jacobi_theta,
+    jacobi_theta_and_tail,
+)
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -279,34 +285,31 @@ def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
 def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
     """Maximize theta(t)(1-t)^d over (0, 1) and report mu = (max)^(-1/d).
 
-    Only t with a certified truncation tail below ``tol`` participate; if
-    the maximizer lands on the edge of the certified region the result
-    would be unreliable and a TailBoundError asks for a larger K.
+    The tail bound increases with t, so the grid points of
+    ``optimize.GRID`` whose truncation tail is below ``tol`` form a
+    prefix; the search runs on (0, hi) with ``hi`` the first uncertified
+    grid point (1 if there is none).  If fewer than 3 points are
+    certified, or the maximizer does not lie strictly between the first
+    and the last certified point, the result would be unreliable and a
+    TailBoundError asks for a larger K.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = series.dim
-    ts = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
-    tails = series.tail_bound(ts)
-    mask = tails < tol  # certified prefix: the tail bound increases with t
-    certified = len(ts) if bool(mask.all()) else int(np.argmin(mask))
+    mask = series.tail_bound(GRID) < tol
+    certified = len(GRID) if bool(mask.all()) else int(np.argmin(mask))
     if certified < 3:
         raise TailBoundError(
             f"tail bound below {tol} on too small a region; request larger K"
         )
-    ts = ts[:certified]
-    vals = series.evaluate(ts) * (1.0 - ts) ** d
-    i = int(np.argmax(vals))
-    if i == 0 or i >= certified - 1:
+    hi = float(GRID[certified]) if certified < len(GRID) else 1.0
+    t_star, max_value = maximize_on_unit_interval(
+        lambda t: series.evaluate(t) * (1.0 - t) ** d, xtol=1e-12, hi=hi
+    )
+    if not GRID[0] < t_star < GRID[certified - 1]:
         raise TailBoundError(
             "maximizer sits at the edge of the certified region; request larger K"
         )
-    t_star, max_value = golden_section_max(
-        lambda t: series.evaluate(t) * (1.0 - t) ** d,
-        float(ts[i - 1]),
-        float(ts[i + 1]),
-        xtol=1e-12,
-    )
     return MuResult(
         lattice_label=series.label or f"dim{d}",
         dim=d,
@@ -315,24 +318,6 @@ def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
         max_value=max_value,
         tail_bound=float(series.tail_bound(t_star)),
     )
-
-
-def _jacobi_tail(q: float) -> float:
-    # Truncation error bound for the theta3/theta4 summation at nome q:
-    # terms stop once 2 q^(n^2) < 1e-18 * sum, and the remainder is
-    # dominated by the geometric series with ratio q^(2n+3) < q.
-    if q == 0.0:
-        return 0.0
-    total, term, w, n = 1.0, 1.0, q, 0
-    while True:
-        term = term * w
-        total = total + 2.0 * term
-        if not 2.0 * term > 1e-18 * total:
-            break
-        w = w * q * q
-        n += 1
-    nxt = 2.0 * term * q ** (2 * n + 3)
-    return nxt / (1.0 - q)
 
 
 def mu_z(tol: float = 1e-10) -> MuResult:
@@ -352,7 +337,7 @@ def mu_z(tol: float = 1e-10) -> MuResult:
         t_star=t_star,
         mu=1.0 / max_value,
         max_value=max_value,
-        tail_bound=_jacobi_tail(t_star) * (1.0 - t_star),
+        tail_bound=jacobi_theta_and_tail(3, t_star)[1] * (1.0 - t_star),
     )
 
 
@@ -364,8 +349,8 @@ def mu_dn(n: int, tol: float = 1e-10) -> MuResult:
     t_star, max_value = maximize_on_unit_interval(
         lambda t: dn_theta(n, t) * (1.0 - t) ** n, xtol=tol
     )
-    t3 = jacobi_theta(3, t_star)
-    tail = n * t3 ** (n - 1) * _jacobi_tail(t_star)  # dominates both powers
+    t3, tail3 = jacobi_theta_and_tail(3, t_star)
+    tail = n * t3 ** (n - 1) * tail3  # dominates both powers
     return MuResult(
         lattice_label=f"D{n}",
         dim=n,

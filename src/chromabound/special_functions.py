@@ -19,8 +19,10 @@ is the asymptotic rate extracted from it.
 
 All evaluators accept a float or an ndarray for the series argument.
 A float (or any 0-d argument) returns a Python float, and an ndarray
-returns an ndarray of the same shape.  The evaluators are pure
-functions of their arguments and hold no shared state.
+returns an ndarray of the same shape; ``jacobi_theta_and_tail``
+returns the Jacobi value and a bound on its truncation remainder, each
+of that type.  The evaluators are pure functions of their arguments and
+hold no shared state.
 """
 
 from __future__ import annotations
@@ -137,48 +139,47 @@ def theta_full(t: ArrayLike, gamma: float = 1.0, tail_tol: float = 1e-15) -> Arr
     raise RuntimeError("series did not converge within the term budget")
 
 
-def jacobi_theta(kind: int, q: ArrayLike) -> ArrayLike:
-    """Jacobi theta function theta2, theta3 or theta4 at nome q in [0, 1).
+def jacobi_theta_and_tail(kind: int, q: ArrayLike) -> Tuple[ArrayLike, ArrayLike]:
+    """Jacobi theta2, theta3 or theta4 at nome q in [0, 1), with a tail bound.
 
     theta2(q) = sum_{n in Z} q^((n+1/2)^2)
     theta3(q) = sum_{n in Z} q^(n^2)
     theta4(q) = 1 + 2 sum_{n >= 1} (-1)^n q^(n^2)
 
+    One loop sums all three: each runs over n >= 0 with paired terms
+    2 q^(e_n), and the gap e_{n+1} - e_n grows by 2 per step (theta2
+    starts at q^(1/4) with gap 2, theta3/theta4 at 1 with gap 1).
     Summation stops once a term drops below 1e-18 of the partial sum.
+    Returns ``(value, tail)``: term ratios past the stop are below q, so
+    the omitted terms sum to at most  tail = 2 |next term| / (1 - q).
     """
     if kind not in (2, 3, 4):
         raise ValueError("kind must be one of 2, 3, 4")
-    arr = check_unit_interval(q, hi_open=True, name="q")
-    scalar = isinstance(arr, float)
-    a = np.atleast_1d(arr).astype(float)
-
+    q = check_unit_interval(q, hi_open=True, name="q")
+    q2 = q * q
     if kind == 2:
-        # 2 * sum_{n >= 0} q^((n+1/2)^2); consecutive exponent gaps 2n+2
-        total = 2.0 * np.power(a, 0.25)
-        term = total / 2.0
-        w = np.power(a, 2.0)  # q^(2n+2) at n = 0
-        q2 = a * a
-        while True:
-            term = term * w
-            total = total + 2.0 * term
-            if not np.any(2.0 * term > _TERM_CUTOFF * np.abs(total)):
-                break
-            w = w * q2
+        term = q ** 0.25  # q^((n+1/2)^2) at n = 0
+        total, w, sign = 2.0 * term, q2, 1.0
     else:
-        sign = 1.0 if kind == 3 else -1.0
-        total = np.ones_like(a)
-        term = np.ones_like(a)  # q^(n^2)
-        w = a.copy()            # q^(2n+1) at n = 0
-        q2 = a * a
-        s = sign
-        while True:
-            term = term * w
-            total = total + 2.0 * s * term
-            if not np.any(2.0 * term > _TERM_CUTOFF * np.abs(total)):
-                break
-            w = w * q2
-            s *= sign
-    return float(total[0]) if scalar else total.reshape(np.shape(arr))
+        term = total = full_like(q, 1.0)  # q^(n^2) at n = 0
+        w, sign = q, (1.0 if kind == 3 else -1.0)
+    s = sign
+    while True:
+        term = term * w
+        total = total + 2.0 * s * term
+        if not _any(2.0 * term > _TERM_CUTOFF * abs(total)):
+            break
+        w = w * q2
+        s *= sign
+    return total, 2.0 * term * (w * q2) / (1.0 - q)
+
+
+def jacobi_theta(kind: int, q: ArrayLike) -> ArrayLike:
+    """Jacobi theta function theta2, theta3 or theta4 at nome q in [0, 1).
+
+    The value of :func:`jacobi_theta_and_tail`.
+    """
+    return jacobi_theta_and_tail(kind, q)[0]
 
 
 def functional_equation_residual(x: float) -> float:
@@ -226,8 +227,9 @@ def gamma_chi(tol: float = 1e-12) -> GammaChiResult:
 def one_minus_t_theta_max(gamma: float, tol: float = 1e-12) -> Tuple[float, float]:
     """Global maximum of (1 - t) * theta(t^gamma) over t in (0, 1).
 
-    Returns ``(t_star, value)``.  Grid scan with at least 4096 points plus
-    golden-section refinement; the objective exceeds 1 for gamma < 1.
+    Returns ``(t_star, value)`` from ``maximize_on_unit_interval`` (grid
+    scan plus golden-section refinement); the objective exceeds 1 for
+    gamma < 1.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")

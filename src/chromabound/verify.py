@@ -184,7 +184,9 @@ def combinatorics_checks(seed: int = 0) -> List[CheckResult]:
     for _ in range(200):
         l = rng.randint(1, 4)
         b = sorted((rng.randint(0, 4) for _ in range(l + 1)), reverse=True)
-        counts = _profile_from_pairing(b)
+        counts = [0] * (l + 1)  # invert the pairing reorder b = counts[order]
+        for pos, src in enumerate(combi._pairing_order(list(range(l + 1)))):
+            counts[src] = b[pos]
         profile = combi.CompositionProfile(tuple(counts))
         if profile.n == 0 or combi.multinomial(profile.n, profile.counts) > 3000:
             continue
@@ -230,24 +232,6 @@ def combinatorics_checks(seed: int = 0) -> List[CheckResult]:
             break
     out.append(_check("combinatorics", "next_prime_vs_sieve", ok, detail))
     return out
-
-
-def _profile_from_pairing(b: List[int]) -> List[int]:
-    # Invert the pairing reorder: positions l, l-2, ... hold the top
-    # counts a_l, a_{l-1}, ... and positions l-1, l-3, ... hold a_0, a_1, ...
-    l = len(b) - 1
-    counts = [0] * (l + 1)
-    hi, lo = l, 0
-    take_hi = True
-    for pos in range(l, -1, -1):
-        if take_hi:
-            counts[hi] = b[pos]
-            hi -= 1
-        else:
-            counts[lo] = b[pos]
-            lo += 1
-        take_hi = not take_hi
-    return counts
 
 
 def _expected_simplex_value(

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from chromabound import bound_engine
 from chromabound import (
     BoundQuery,
     asymptotic_lower_bound,
@@ -84,6 +85,25 @@ class TestBestL:
         for gamma in (0.2, 0.35, 0.6, 0.85):
             l_star, _, _ = best_l(gamma)
             assert l_star < 2.0 / gamma + 1
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (2, 2), (5, 2), (10, 1), (10, 7)])
+    def test_scans_exactly_the_proven_window(self, monkeypatch, m, k):
+        # l = 1 .. ceil(2(m+1)/k) - 1, and nothing past it.
+        scanned = []
+        original = bound_engine.maximize_over_t
+
+        def counting(gamma, l, tol=1e-12):
+            scanned.append(l)
+            return original(gamma, l, tol)
+
+        monkeypatch.setattr(bound_engine, "maximize_over_t", counting)
+        l_star, _, _ = best_l(k / (m + 1))
+        assert scanned == list(range(1, -(-2 * (m + 1) // k)))
+        assert l_star <= scanned[-1]
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 3.0])
+    def test_trivial_for_gamma_at_least_one(self, gamma):
+        assert best_l(gamma) == (1, 0.0, 1.0)
 
 
 class TestChromaticLowerBound:

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -61,6 +65,34 @@ class TestBound:
     def test_usage_error_on_nonpositive(self, runner):
         result = runner.invoke(cli, ["bound", "--m", "0", "--k", "1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_tol_must_be_positive_and_finite(self, runner, tmp_path, tol):
+        flag = runner.invoke(cli, ["bound", "--m", "2", "--k", "1", "--tol", tol])
+        assert flag.exit_code == 2
+        assert "tol must be a positive finite number" in flag.output
+        config = tmp_path / "settings.cfg"
+        config.write_text(f"tol = {tol}\n")
+        preset = runner.invoke(cli, ["--config", str(config), "lattice-mu", "--lattice", "e8"])
+        assert preset.exit_code == 2
+        assert "tol must be a positive finite number" in preset.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [["bound", "--m", "2", "--k", "1"], ["lattice-mu", "--lattice", "zn"]],
+        ids=["bound", "lattice-mu-zn"],
+    )
+    def test_tol_below_float_spacing_terminates(self, args):
+        # A child process, so that a refinement that never ends shows up
+        # as a timeout instead of a hung suite.
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "chromabound.cli", *args, "--tol", "1e-20", "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["tol"] == 1e-20
 
 
 class TestTable:

@@ -175,6 +175,19 @@ class TestMu:
         with pytest.raises(TailBoundError):
             mu_lattice(e8_series(2))
 
+    @pytest.mark.parametrize("series", [e8_series(16), leech_series(24)], ids=["E8-16", "Leech-24"])
+    def test_certification_edge(self, series):
+        # Certified far enough past the maximizer at tol 1e-9, not at 1e-12.
+        result = mu_lattice(series, 1e-9)
+        assert result.tail_bound < 1e-9
+        with pytest.raises(TailBoundError, match="edge of the certified region"):
+            mu_lattice(series, 1e-12)
+
+    def test_short_series_raises_at_every_tol(self):
+        for tol in (1e-9, 1e-12):
+            with pytest.raises(TailBoundError):
+                mu_lattice(e8_series(12), tol)
+
 
 class TestDoubleCapCompare:
     def test_mu_z_is_no_improvement(self):

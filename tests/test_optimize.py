@@ -1,0 +1,50 @@
+import numpy as np
+import pytest
+
+from chromabound.optimize import (
+    GRID,
+    GRID_POINTS,
+    golden_section_max,
+    maximize_on_unit_interval,
+)
+
+
+def test_grid_is_fixed_interior_of_unit_interval():
+    assert GRID.shape == (GRID_POINTS,)
+    assert 0.0 < GRID[0] and GRID[-1] < 1.0
+    assert np.all(np.diff(GRID) > 0.0)
+    with pytest.raises(ValueError):
+        GRID[0] = 0.5
+
+
+def test_golden_section_stops_below_float_spacing():
+    # An xtol far below the float spacing of the bracket must still end;
+    # the guard turns an endless loop into a test failure.
+    evals = []
+
+    def f(x):
+        evals.append(x)
+        assert len(evals) < 10_000, "golden_section_max does not terminate"
+        return -(x - 0.3) ** 2
+
+    x, v = golden_section_max(f, 0.0, 1.0, xtol=1e-30)
+    assert x == pytest.approx(0.3, abs=1e-7)
+    assert v == f(x)
+
+
+def test_default_hi_scans_the_whole_interval():
+    def f(t):
+        return -(t - 0.7) ** 2
+
+    assert maximize_on_unit_interval(f) == maximize_on_unit_interval(f, hi=1.0)
+    assert maximize_on_unit_interval(f)[0] == pytest.approx(0.7, abs=1e-6)
+
+
+@pytest.mark.parametrize("hi", [0.5, float(GRID[2000]), 0.9])
+def test_hi_cuts_the_search(hi):
+    # An increasing objective peaks at the cut: the last scanned point's
+    # bracket ends halfway to hi, so x_star lies between that point and hi.
+    x, v = maximize_on_unit_interval(lambda t: t, hi=hi)
+    last = GRID[GRID < hi][-1]
+    assert last <= x <= 0.5 * (hi + last) < hi
+    assert v == x

@@ -8,6 +8,7 @@ from chromabound import (
     functional_equation_residual,
     gamma_chi,
     jacobi_theta,
+    jacobi_theta_and_tail,
     one_minus_t_theta_max,
     theta_full,
     theta_ratio,
@@ -123,6 +124,30 @@ class TestJacobiTheta:
             v = jacobi_theta(4, q)
             assert 1 - 2 * q - 1e-12 <= v <= 1 - 2 * q + 2 * q ** 4 + 1e-12
 
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    def test_tail_bounds_the_omitted_terms(self, kind, q):
+        # Paired terms 2 q^(e_n) of a direct 400-term sum; magnitudes fall
+        # strictly, so the omitted ones are those no larger than the next
+        # term, which the tail reports as tail * (1 - q) / 2.
+        value, tail = jacobi_theta_and_tail(kind, q)
+        if kind == 2:
+            terms = [2.0 * q ** ((n + 0.5) ** 2) for n in range(400)]
+        else:
+            sign = 1.0 if kind == 3 else -1.0
+            terms = [1.0] + [2.0 * sign ** n * q ** (n * n) for n in range(1, 400)]
+        nxt = tail * (1.0 - q) / 2.0
+        kept = [c for c in terms if abs(c) > 2.0 * nxt * (1.0 + 1e-9)]
+        omitted = [c for c in terms if abs(c) <= 2.0 * nxt * (1.0 + 1e-9)]
+        assert math.fsum(kept) == pytest.approx(value, rel=1e-14)
+        assert abs(math.fsum(omitted)) <= tail
+        assert 0.0 < tail < 1e-16 * abs(value)
+        assert jacobi_theta(kind, q) == value
+
+    def test_tail_vanishes_at_zero(self):
+        for kind in (2, 3, 4):
+            assert jacobi_theta_and_tail(kind, 0.0)[1] == 0.0
+
     def test_rejects_bad_kind_and_domain(self):
         with pytest.raises(ValueError):
             jacobi_theta(1, 0.5)
@@ -201,6 +226,9 @@ _E8 = e8_series(64)
         pytest.param(lambda t, g: theta_ratio(t, g, 1), 1e-12, id="theta_ratio-l1"),
         pytest.param(lambda t, g: theta_ratio(t, g, 9), 1e-12, id="theta_ratio-l9"),
         pytest.param(lambda t, g: _E8.evaluate(t), 1e-12, id="ThetaSeries.evaluate"),
+        pytest.param(lambda t, g: jacobi_theta(2, t), 1e-12, id="jacobi_theta-2"),
+        pytest.param(lambda t, g: jacobi_theta(3, t), 1e-12, id="jacobi_theta-3"),
+        pytest.param(lambda t, g: jacobi_theta(4, t), 1e-12, id="jacobi_theta-4"),
     ],
 )
 def test_scalar_array_contract(f, rel, gamma):
