@@ -12,12 +12,16 @@ converges on [0, 1).  The associated double-cap quantity is
 an upper bound for the exponential rate of orthogonality-avoiding
 spherical sets.  Coefficients are exact integers:
 
-  * D_n:   vectors of Z^n with even squared norm, counted by convolution;
+  * D_n:   vectors of Z^n with even squared norm, the even part of
+           (1 + 2 sum_c q^(c^2))^n;
            closed form theta_{D_n}(t) = (theta3(t)^n + theta4(t)^n) / 2.
   * E8:    N_j = 240 * sigma_3(j).
   * Leech: N_j = (65520 / 691) * (sigma_11(j) - tau(j)), with tau the
            coefficients of q * prod (1 - q^n)^24; the division by 691 is
            exact, and anything else is a hard failure.
+
+D_n and tau are powers of sparse series, expanded by one exact power
+recurrence (``_sparse_power``) in O(K * nonzero terms) integer steps.
 
 Series objects are immutable after construction and safe to share
 across threads.
@@ -177,26 +181,17 @@ def dn_theta(n: int, t: ArrayLike) -> ArrayLike:
 def dn_series(n: int, K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     """Exact D_n coefficients N_j = #{v in Z^n : |v|^2 = 2j} for j <= K.
 
-    Built by convolving the one-dimensional square-norm counts n times
-    and keeping the even exponents.
+    The counts of all squared norms are the coefficients of
+    (1 + 2 sum_{c >= 1} q^(c^2))^n, raised by the power recurrence of
+    ``_sparse_power``; D_n keeps the even exponents.
     """
     if n < 1 or K < 1:
         raise ValueError("n and K must be positive integers")
     limit = 2 * K
-    counts = [1] + [0] * limit
-    squares = []
-    c = 1
-    while c * c <= limit:
-        squares.append(c * c)
-        c += 1
-    for _ in range(n):
-        new = counts[:]  # the coordinate value 0 contributes identity
-        for sq in squares:
-            for e in range(limit - sq + 1):
-                if counts[e]:
-                    new[e + sq] += 2 * counts[e]
-        counts = new
-    coeffs = tuple(counts[2 * j] for j in range(K + 1))
+    squares = [1] + [0] * limit
+    for c in range(1, math.isqrt(limit) + 1):
+        squares[c * c] = 2
+    coeffs = tuple(_sparse_power(squares, n, limit)[0::2])
     growth = max(0.5, n / 2.0 - 0.5)
     return ThetaSeries(dim=n, coeffs=coeffs, growth_exponent=growth, label=f"D{n}")
 
@@ -219,42 +214,43 @@ def e8_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     return ThetaSeries(dim=8, coeffs=coeffs, growth_exponent=3.25, label="E8")
 
 
-def _poly_mul(a: List[int], b: List[int], limit: int) -> List[int]:
-    out = [0] * (limit + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            top = limit - i
-            for j, bj in enumerate(b[: top + 1]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+def _sparse_power(g: List[int], a: int, limit: int) -> List[int]:
+    """Coefficients 0..limit of (1 + sum_{i >= 1} g_i q^i)^a; g[0] is taken as 1.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), from f' g = a f g':
+    n f_n = sum_{i >= 1} ((a + 1) i - n) g_i f_{n-i}, one pass over the
+    nonzero g_i per coefficient.  A division by n that leaves a remainder
+    raises ArithmeticError.
+    """
+    terms = [(i, gi) for i, gi in enumerate(g[1 : limit + 1], start=1) if gi]
+    f = [1] + [0] * limit
+    for n in range(1, limit + 1):
+        acc = 0
+        for i, gi in terms:
+            if i > n:
+                break
+            acc += ((a + 1) * i - n) * gi * f[n - i]
+        f[n], remainder = divmod(acc, n)
+        if remainder:
+            raise ArithmeticError(f"power recurrence is not exact at q^{n}")
+    return f
 
 
 def ramanujan_tau(K: int) -> List[int]:
     """tau(1..K) from the exact integer expansion of q * prod (1 - q^n)^24.
 
-    The Euler product is expanded by the pentagonal number theorem and
-    raised to the 24th power by repeated squaring; index 0 of the result
-    is unused.
+    prod (1 - q^n)^24 is the 8th power of Jacobi's sparse series
+    prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), raised by the
+    power recurrence of ``_sparse_power``; index 0 of the result is
+    unused.
     """
     if K < 1:
         raise ValueError("K must be a positive integer")
     limit = K - 1
-    euler = [0] * (limit + 1)
-    euler[0] = 1
-    k = 1
-    while k * (3 * k - 1) // 2 <= limit:
-        sign = -1 if k % 2 else 1
-        euler[k * (3 * k - 1) // 2] += sign
-        if k * (3 * k + 1) // 2 <= limit:
-            euler[k * (3 * k + 1) // 2] += sign
-        k += 1
-    p2 = _poly_mul(euler, euler, limit)
-    p4 = _poly_mul(p2, p2, limit)
-    p8 = _poly_mul(p4, p4, limit)
-    p16 = _poly_mul(p8, p8, limit)
-    p24 = _poly_mul(p16, p8, limit)
-    return [0] + [p24[j - 1] for j in range(1, K + 1)]
+    jacobi_cube = [0] * (limit + 1)
+    for k in range((math.isqrt(8 * limit + 1) + 1) // 2):  # k(k+1)/2 <= limit
+        jacobi_cube[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+    return [0] + _sparse_power(jacobi_cube, 8, limit)
 
 
 def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:

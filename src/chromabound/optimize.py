@@ -61,7 +61,8 @@ def maximize_on_unit_interval(
     the points of ``GRID`` below ``hi``; the ``RESTARTS`` highest
     candidates among the local grid maxima and the scanned endpoints are
     refined by golden section, which guards against picking a secondary
-    hump.  The bracket of the last scanned point ends halfway to ``hi``.
+    hump; equal grid values are ranked by lower index.  The bracket of
+    the last scanned point ends halfway to ``hi``.
 
     Returns ``(x_star, value)``.
     """
@@ -69,10 +70,10 @@ def maximize_on_unit_interval(
     vals = np.asarray(f(ts), dtype=float)
     n = len(ts)
 
-    interior = np.nonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
-    candidates = set(int(i) for i in interior)
-    candidates.update((0, n - 1))
-    top = sorted(candidates, key=lambda i: vals[i], reverse=True)[:RESTARTS]
+    peak = np.ones(n, dtype=bool)
+    peak[1:-1] = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
+    candidates = np.nonzero(peak)[0]
+    top = candidates[np.argsort(-vals[candidates], kind="stable")[:RESTARTS]]
 
     best_x = float(ts[int(np.argmax(vals))])
     best_v = float(np.max(vals))

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromabound import (
     TailBoundError,
@@ -17,6 +19,8 @@ from chromabound import (
     mu_z,
     ramanujan_tau,
 )
+from chromabound.lattice_combinatorics import is_prime
+from chromabound.lattice_theta import _sparse_power
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
@@ -34,6 +38,50 @@ def enumerate_even_norm_counts(n, max_norm):
 
 def divisors(j):
     return [d for d in range(1, j + 1) if j % d == 0]
+
+
+def convolved_norm_counts(n, limit):
+    """Oracle: #{v in Z^n : |v|^2 = e} for e <= limit, one coordinate at a time."""
+    counts = [1] + [0] * limit
+    squares = []
+    c = 1
+    while c * c <= limit:
+        squares.append(c * c)
+        c += 1
+    for _ in range(n):
+        new = counts[:]  # the coordinate value 0 contributes identity
+        for sq in squares:
+            for e in range(limit - sq + 1):
+                if counts[e]:
+                    new[e + sq] += 2 * counts[e]
+        counts = new
+    return counts
+
+
+def dense_mul(a, b, limit):
+    """Oracle: the product of two coefficient lists, truncated after q^limit."""
+    out = [0] * (limit + 1)
+    for i, ai in enumerate(a[: limit + 1]):
+        for j, bj in enumerate(b[: limit + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+class TestSparsePower:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.dictionaries(st.integers(1, 45), st.integers(-9, 9), max_size=6),
+        a=st.integers(0, 6),
+        limit=st.integers(0, 40),
+    )
+    def test_matches_repeated_dense_multiplication(self, terms, a, limit):
+        g = [1] + [0] * max(terms, default=0)
+        for i, gi in terms.items():
+            g[i] = gi
+        oracle = [1] + [0] * limit
+        for _ in range(a):
+            oracle = dense_mul(oracle, g, limit)
+        assert _sparse_power(g, a, limit) == oracle
 
 
 class TestDnTheta:
@@ -66,6 +114,13 @@ class TestDnSeries:
 
     def test_d8_kissing_number(self):
         assert dn_series(8, 4).coeffs[1] == 112
+
+    @pytest.mark.parametrize(
+        "n, K", [(1, 128), (2, 128), (3, 128), (8, 128), (16, 128), (24, 128), (64, 64)]
+    )
+    def test_coefficients_against_convolution(self, n, K):
+        counts = convolved_norm_counts(n, 2 * K)
+        assert dn_series(n, K).coeffs == tuple(counts[0::2])
 
     def test_evaluation_matches_closed_form(self):
         series = dn_series(3, 128)
@@ -113,6 +168,29 @@ class TestLeechSeries:
         p8 = mul(p4, p4)
         oracle = [0] + [p8[j - 1] for j in range(1, K + 1)]
         assert ramanujan_tau(K) == oracle
+
+    def test_tau_multiplicative(self):
+        # Hecke: tau(mn) = tau(m) tau(n) for coprime m, n.
+        K = 2048
+        tau = ramanujan_tau(K)
+        assert tau[1] == 1
+        for m in range(2, K + 1):
+            for n in range(m + 1, K // m + 1):
+                if math.gcd(m, n) == 1:
+                    assert tau[m * n] == tau[m] * tau[n], (m, n)
+
+    def test_tau_prime_power_recursion(self):
+        # Hecke: tau(p^(r+1)) = tau(p) tau(p^r) - p^11 tau(p^(r-1)).
+        K = 2048
+        tau = ramanujan_tau(K)
+        checked = 0
+        for p in filter(is_prime, range(2, math.isqrt(K) + 1)):
+            prev, cur = 1, p
+            while cur * p <= K:
+                assert tau[cur * p] == tau[p] * tau[cur] - p ** 11 * tau[prev], (p, cur)
+                prev, cur = cur, cur * p
+                checked += 1
+        assert checked == 31  # prime powers p^(r+1) <= 2048 with r >= 1
 
     def test_anchor_coefficients(self):
         series = leech_series(8)

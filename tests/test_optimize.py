@@ -48,3 +48,28 @@ def test_hi_cuts_the_search(hi):
     last = GRID[GRID < hi][-1]
     assert last <= x <= 0.5 * (hi + last) < hi
     assert v == x
+
+
+def test_constant_function_returns_first_grid_point():
+    # Every grid point is a tied candidate; none refines above the grid value.
+    x, v = maximize_on_unit_interval(lambda t: 0.0 * t + 2.5)
+    assert (x, v) == (GRID[0], 2.5)
+
+
+def test_equal_grid_peaks_are_both_refined():
+    # Two grid peaks of exactly 1.0.  The one at the lower index is a tent
+    # with its apex on the grid; the other is min(left, right) of two lines
+    # whose apex lies between GRID[3000] and GRID[3001] and exceeds 1.
+    c1, c2 = float(GRID[1000]), float(GRID[3000])
+    apex = c2 + 0.5 * (float(GRID[3001]) - c2)
+
+    def f(t):
+        tent = 1.0 - np.abs(t - c1)
+        spike = np.minimum(1.0 + 10.0 * (t - c2), 1.0 + 1e-4 - 10.0 * (t - apex))
+        return np.maximum(tent, spike)
+
+    vals = f(GRID)
+    assert vals[1000] == vals[3000] == 1.0 == vals.max()
+    x, v = maximize_on_unit_interval(f)
+    assert GRID[3000] < x < GRID[3001]
+    assert v > 1.0
