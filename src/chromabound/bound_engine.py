@@ -12,7 +12,8 @@ ratio R_l(t) into the mediant of R_l(t) and t^(gamma*l(l+1)/2 - l), so
 R_{l+1}(t) lies between the two.  The exponent is nonnegative once
 l >= 2/gamma - 1, and then t^(...) <= 1 <= max R_l; hence the argmax
 satisfies l_star <= ceil(2/gamma) - 1, and at k = 1 it equals that bound
-(2m + 1) for every m <= 15.  ``best_l`` scans exactly this window.
+(2m + 1) for every m <= 15.  ``best_l`` scans exactly this window from
+l = 2: the 1-term ratio R_1 is identically 1, the value it starts from.
 
 All functions are pure.  ``table`` computes its cells serially in a
 fixed order (m ascending, then k ascending), and each cell depends only
@@ -117,9 +118,9 @@ def maximize_over_t(gamma: float, l: int, tol: float = 1e-12) -> Tuple[float, fl
 def best_l(gamma: float, tol: float = 1e-12) -> Tuple[int, float, float]:
     """Maximize the ratio jointly over t and the term count l.
 
-    Scans l = 1 .. ceil(2/gamma) - 1 and returns
-    ``(l_star, t_star, value)``; for gamma >= 1 that is at most l = 1,
-    and the result is ``(1, 0.0, 1.0)``.  Ties break toward smaller l.
+    Starts from ``(1, 0.0, 1.0)``, the 1-term ratio R_1 = 1, then scans
+    l = 2 .. ceil(2/gamma) - 1 and returns ``(l_star, t_star, value)``;
+    for gamma >= 1 nothing is scanned.  Ties break toward smaller l.
     By the mediant argument in the module docstring no l past the window
     can win; the window is attained at k = 1 (l_star = 2m + 1) for every
     m <= 15 (checked at 60 significant digits).  For gamma = k/(m+1) the
@@ -129,7 +130,7 @@ def best_l(gamma: float, tol: float = 1e-12) -> Tuple[int, float, float]:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     l_star, t_star, value = 1, 0.0, 1.0
-    for l in range(1, math.ceil(2.0 / gamma)):
+    for l in range(2, math.ceil(2.0 / gamma)):
         t, v = maximize_over_t(gamma, l, tol)
         if v > value:
             l_star, t_star, value = l, t, v

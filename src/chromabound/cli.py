@@ -29,6 +29,7 @@ import click
 from . import __version__
 from .bound_engine import BoundQuery, chromatic_lower_bound, kupavskii_upper_base, table
 from .lattice_theta import (
+    DEFAULT_SERIES_LENGTH,
     INV_SQRT_2,
     SQRT3_OVER_2,
     MuResult,
@@ -45,7 +46,6 @@ from .verify import SUITES, run_suites
 
 _FORMATS = ("plain", "json", "csv")
 _DEFAULT_TOL = 1e-9
-_DEFAULT_K = 512
 _MIN_SERIES_K = 16
 
 # Input caps.  Each of bound --m 500, table at 50 x 50, and lattice-mu
@@ -97,7 +97,7 @@ def _resolve_k(flag: Optional[int], cfg: Dict[str, str]) -> int:
             return int(cfg["K"])
         except ValueError:
             raise click.UsageError(f"config K is not an integer: {cfg['K']}")
-    return _DEFAULT_K
+    return DEFAULT_SERIES_LENGTH
 
 
 def _resolve_format(flag: Optional[str], cfg: Dict[str, str]) -> str:

@@ -29,11 +29,10 @@ across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -123,30 +122,6 @@ class ThetaSeries:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             tail = np.where(denom > 0.0, lead * u ** kp1 / np.maximum(denom, 1e-300), np.inf)
         return tail if arr.ndim else float(tail)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "label": self.label,
-                "dim": self.dim,
-                "K": self.truncation_index,
-                "growth_exponent": self.growth_exponent,
-                "coeffs": list(self.coeffs),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ThetaSeries":
-        doc = json.loads(text)
-        coeffs = tuple(int(c) for c in doc["coeffs"])
-        if len(coeffs) != doc["K"] + 1:
-            raise ValueError("coefficient list does not match K")
-        return cls(
-            dim=int(doc["dim"]),
-            coeffs=coeffs,
-            growth_exponent=float(doc["growth_exponent"]),
-            label=str(doc.get("label", "")),
-        )
 
 
 @dataclass(frozen=True)
@@ -278,21 +253,25 @@ def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     )
 
 
-def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
-    """Maximize theta(t)(1-t)^d over (0, 1) and report mu = (max)^(-1/d).
+def _mu(
+    label: str,
+    dim: int,
+    theta: Callable[[ArrayLike], ArrayLike],
+    tail: Callable[[ArrayLike], ArrayLike],
+    tol: float,
+) -> MuResult:
+    """Maximize theta(t)(1-t)^dim where theta's remainder ``tail`` is below ``tol``.
 
-    The tail bound increases with t, so the grid points of
-    ``optimize.GRID`` whose truncation tail is below ``tol`` form a
-    prefix; the search runs on (0, hi) with ``hi`` the first uncertified
-    grid point (1 if there is none).  If fewer than 3 points are
-    certified, or the maximizer does not lie strictly between the first
-    and the last certified point, the result would be unreliable and a
-    TailBoundError asks for a larger K.
+    The grid points of ``optimize.GRID`` before the first one whose tail
+    is not below ``tol`` are certified; the search runs on (0, hi) with
+    ``hi`` that first uncertified point (1 if there is none).  Fewer than
+    3 certified points, a maximizer not strictly between the first and
+    the last certified point, or a tail at the maximizer that is not
+    below ``tol`` raise TailBoundError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    d = series.dim
-    mask = series.tail_bound(GRID) < tol
+    mask = tail(GRID) < tol
     certified = len(GRID) if bool(mask.all()) else int(np.argmin(mask))
     if certified < 3:
         raise TailBoundError(
@@ -300,20 +279,36 @@ def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
         )
     hi = float(GRID[certified]) if certified < len(GRID) else 1.0
     t_star, max_value = maximize_on_unit_interval(
-        lambda t: series.evaluate(t) * (1.0 - t) ** d, xtol=1e-12, hi=hi
+        lambda t: theta(t) * (1.0 - t) ** dim, xtol=1e-12, hi=hi
     )
     if not GRID[0] < t_star < GRID[certified - 1]:
         raise TailBoundError(
             "maximizer sits at the edge of the certified region; request larger K"
         )
+    tail_at_star = float(tail(t_star))
+    if not tail_at_star < tol:
+        raise TailBoundError(
+            f"tail bound {tail_at_star!r} at the maximizer is not below {tol}"
+        )
     return MuResult(
-        lattice_label=series.label or f"dim{d}",
-        dim=d,
+        lattice_label=label,
+        dim=dim,
         t_star=t_star,
-        mu=max_value ** (-1.0 / d),
+        mu=max_value ** (-1.0 / dim),
         max_value=max_value,
-        tail_bound=float(series.tail_bound(t_star)),
+        tail_bound=tail_at_star,
     )
+
+
+def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
+    """Maximize theta(t)(1-t)^d over (0, 1) and report mu = (max)^(-1/d).
+
+    The truncation tail increases with t, so the certified prefix of
+    ``_mu`` holds every grid point with tail below ``tol`` and the check
+    at the maximizer never fires; a TailBoundError asks for a larger K.
+    """
+    label = series.label or f"dim{series.dim}"
+    return _mu(label, series.dim, series.evaluate, series.tail_bound, tol)
 
 
 def mu_z(tol: float = 1e-10) -> MuResult:
@@ -321,40 +316,23 @@ def mu_z(tol: float = 1e-10) -> MuResult:
 
     Computed directly from theta3 rather than as an actual limit; known
     to exceed sqrt(3)/2, so it does not improve the double-cap bracket.
+    ``tol`` bounds theta3's summation remainder.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    t_star, max_value = maximize_on_unit_interval(
-        lambda t: jacobi_theta(3, t) * (1.0 - t), xtol=tol
-    )
-    return MuResult(
-        lattice_label="Z",
-        dim=1,
-        t_star=t_star,
-        mu=1.0 / max_value,
-        max_value=max_value,
-        tail_bound=jacobi_theta_and_tail(3, t_star)[1] * (1.0 - t_star),
+    return _mu(
+        "Z", 1, lambda t: jacobi_theta(3, t), lambda t: jacobi_theta_and_tail(3, t)[1], tol
     )
 
 
 def mu_dn(n: int, tol: float = 1e-10) -> MuResult:
     """Double-cap quantity of D_n from the closed form, as a convergence
-    diagnostic toward mu_Z."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    t_star, max_value = maximize_on_unit_interval(
-        lambda t: dn_theta(n, t) * (1.0 - t) ** n, xtol=tol
-    )
-    t3, tail3 = jacobi_theta_and_tail(3, t_star)
-    tail = n * t3 ** (n - 1) * tail3  # dominates both powers
-    return MuResult(
-        lattice_label=f"D{n}",
-        dim=n,
-        t_star=t_star,
-        mu=max_value ** (-1.0 / n),
-        max_value=max_value,
-        tail_bound=tail * (1.0 - t_star) ** n,
-    )
+    diagnostic toward mu_Z.  ``tol`` bounds the remainder of theta_{D_n}."""
+
+    def tail(t: ArrayLike) -> ArrayLike:
+        t3, tail3 = jacobi_theta_and_tail(3, t)
+        # First order in theta3's remainder; theta4^n moves no more, as |theta4| <= theta3.
+        return n * t3 ** (n - 1) * tail3
+
+    return _mu(f"D{n}", n, lambda t: dn_theta(n, t), tail, tol)
 
 
 def double_cap_compare(mu: float) -> str:

@@ -70,17 +70,25 @@ def theta_checks() -> List[CheckResult]:
 
     qs = np.linspace(0.0, 0.999, 200)
     t3, t4 = jacobi_theta(3, qs), jacobi_theta(4, qs)
-    bracket = (1 - 2 * qs <= t4 + 1e-12) & (t4 <= 1 - 2 * qs + 2 * qs ** 4 + 1e-12)
+    dominance = t3 - t4
+    i = int(np.argmin(dominance))
     out.append(
         _check(
             "theta",
             "theta3_dominates_theta4",
-            bool(np.all(t3 >= t4 - 1e-15)),
-            "",
+            dominance[i] >= -1e-15,
+            f"min theta3 - theta4 {dominance[i]:.3e} at q = {qs[i]:.4f}",
         )
     )
+    bracket = np.minimum(t4 - (1 - 2 * qs), 1 - 2 * qs + 2 * qs ** 4 - t4)
+    i = int(np.argmin(bracket))
     out.append(
-        _check("theta", "theta4_alternating_bracket", bool(np.all(bracket)), "")
+        _check(
+            "theta",
+            "theta4_alternating_bracket",
+            bracket[i] >= -1e-12,
+            f"min bracket margin {bracket[i]:.3e} at q = {qs[i]:.4f}",
+        )
     )
 
     gc = gamma_chi()

@@ -88,7 +88,7 @@ class TestBestL:
 
     @pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (2, 2), (5, 2), (10, 1), (10, 7)])
     def test_scans_exactly_the_proven_window(self, monkeypatch, m, k):
-        # l = 1 .. ceil(2(m+1)/k) - 1, and nothing past it.
+        # l = 2 .. ceil(2(m+1)/k) - 1, and nothing past it; R_1 is identically 1.
         scanned = []
         original = bound_engine.maximize_over_t
 
@@ -98,7 +98,7 @@ class TestBestL:
 
         monkeypatch.setattr(bound_engine, "maximize_over_t", counting)
         l_star, _, _ = best_l(k / (m + 1))
-        assert scanned == list(range(1, -(-2 * (m + 1) // k)))
+        assert scanned == list(range(2, -(-2 * (m + 1) // k)))
         assert l_star <= scanned[-1]
 
     @pytest.mark.parametrize("gamma", [1.0, 1.5, 3.0])

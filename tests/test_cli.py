@@ -13,6 +13,7 @@ from click.testing import CliRunner
 import chromabound.cli as cli_module
 from chromabound import BoundQuery, chromatic_lower_bound, dn_series, e8_series, table
 from chromabound.cli import MAX_DN, MAX_M, MAX_SERIES_K, MAX_TABLE_K, MAX_TABLE_M, cli
+from chromabound.verify import theta_checks
 
 
 @pytest.fixture
@@ -134,6 +135,21 @@ class TestLatticeMu:
         assert doc["double_cap"] == "no improvement"
         assert "tail_bound" in doc
 
+    def test_zn_tail_not_below_tol_fails(self, runner):
+        result = runner.invoke(cli, ["lattice-mu", "--lattice", "zn", "--tol", "1e-30"])
+        assert result.exit_code == 1
+        assert "not below 1e-30" in result.output
+
+    @pytest.mark.parametrize("tol", ["1e-12", "1e-30"])
+    @pytest.mark.parametrize("label", ["zn", "dn:8", "e8", "leech"])
+    def test_success_means_tail_below_tol(self, runner, label, tol):
+        result = runner.invoke(
+            cli, ["lattice-mu", "--lattice", label, "--tol", tol, "--format", "json"]
+        )
+        assert result.exit_code in (0, 1)
+        if result.exit_code == 0:
+            assert 0.0 <= json.loads(result.stdout)["tail_bound"] < float(tol)
+
     def test_e8(self, runner):
         result = runner.invoke(
             cli, ["lattice-mu", "--lattice", "e8", "--K", "128", "--format", "json"]
@@ -213,6 +229,11 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--suite", "theta"])
         assert result.exit_code == 0
         assert "ok   theta.functional_equation_residual" in result.stdout
+
+    def test_theta_checks_name_worst_point(self):
+        details = {c.name: c.detail for c in theta_checks()}
+        for name in ("theta3_dominates_theta4", "theta4_alternating_bracket"):
+            assert " at q = " in details[name]
 
     def test_unknown_suite_is_usage_error(self, runner):
         result = runner.invoke(cli, ["verify", "--suite", "nonsense"])

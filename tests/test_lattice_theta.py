@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import pytest
@@ -20,6 +19,7 @@ from chromabound import (
     ramanujan_tau,
 )
 from chromabound.lattice_combinatorics import is_prime
+from chromabound.special_functions import jacobi_theta_and_tail
 from chromabound.lattice_theta import _sparse_power
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
@@ -261,6 +261,23 @@ class TestMu:
         with pytest.raises(TailBoundError, match="edge of the certified region"):
             mu_lattice(series, 1e-12)
 
+    def test_mu_z_argmax_does_not_depend_on_tol(self):
+        t_stars = {mu_z(tol).t_star for tol in (1e-9, 1e-12, 1e-20)}
+        assert len(t_stars) == 1
+
+    def test_tail_bound_is_theta_remainder_at_t_star(self):
+        z = mu_z()
+        assert z.tail_bound == jacobi_theta_and_tail(3, z.t_star)[1]
+        d8 = mu_dn(8)
+        t3, tail3 = jacobi_theta_and_tail(3, d8.t_star)
+        assert d8.tail_bound == 8 * t3 ** 7 * tail3
+        assert 0.0 < d8.tail_bound < 1e-10
+
+    def test_tail_at_t_star_above_tol_raises(self):
+        assert mu_z(1e-20).tail_bound < 1e-20
+        with pytest.raises(TailBoundError, match="at the maximizer"):
+            mu_z(1e-30)
+
     def test_short_series_raises_at_every_tol(self):
         for tol in (1e-9, 1e-12):
             with pytest.raises(TailBoundError):
@@ -290,14 +307,6 @@ class TestThetaSeriesType:
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
             ThetaSeries(dim=2, coeffs=(1, -4), growth_exponent=1.0)
-
-    def test_json_round_trip(self):
-        series = leech_series(32)
-        text = series.to_json()
-        back = ThetaSeries.from_json(text)
-        assert back == series
-        doc = json.loads(text)
-        assert doc["dim"] == 24 and doc["K"] == 32
 
     def test_tail_bound_dominates_true_tail(self):
         full = e8_series(64)
