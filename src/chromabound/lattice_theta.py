@@ -282,8 +282,15 @@ def _mu(
         lambda t: theta(t) * (1.0 - t) ** dim, xtol=1e-12, hi=hi
     )
     if not GRID[0] < t_star < GRID[certified - 1]:
+        past = (
+            f", and the tail bound {float(tail(hi))!r} at the next grid point"
+            f" t = {hi!r} is not below {tol}"
+            if hi < 1.0
+            else ""
+        )
         raise TailBoundError(
-            "maximizer sits at the edge of the certified region; request larger K"
+            f"tail bound at the maximizer is not certified below {tol}: the maximizer"
+            f" sits at the edge of the certified region{past}; request larger K"
         )
     tail_at_star = float(tail(t_star))
     if not tail_at_star < tol:

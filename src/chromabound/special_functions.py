@@ -10,7 +10,10 @@ equation
 
     theta(exp(-pi x)) = exp(pi x / 8) / sqrt(2 x) * theta4(exp(-2 pi / x)),
 
-which doubles as a correctness check, and the growth constant
+whose right-hand side evaluates theta(t^gamma) inside
+``one_minus_t_theta_max`` wherever t^gamma > e^-pi (a few terms where
+the direct series needs thousands); ``functional_equation_residual``
+checks that same evaluator against the direct sum.  The growth constant
 
     GAMMA_CHI = sqrt(pi / 2) * max_{u > 0} (1 - exp(-u)) / sqrt(u)
               = 0.7998308498...
@@ -41,6 +44,12 @@ ArrayLike = Union[float, np.ndarray]
 _TERM_CUTOFF = 1e-18
 
 _MAX_TERMS = 5_000_000
+
+#: Switch of ``_theta_of_power`` from the direct sum to the modular side.
+_MODULAR_SWITCH = math.exp(-math.pi)
+
+#: Relative remainder allowed in the direct sum of ``_theta_of_power``.
+_OBJECTIVE_TAIL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -152,6 +161,9 @@ def jacobi_theta_and_tail(kind: int, q: ArrayLike) -> Tuple[ArrayLike, ArrayLike
     Summation stops once a term drops below 1e-18 of the partial sum.
     Returns ``(value, tail)``: term ratios past the stop are below q, so
     the omitted terms sum to at most  tail = 2 |next term| / (1 - q).
+    An array runs until its slowest point stops, but each point's tail is
+    taken where that point stops, as a scalar call takes it, and its
+    value no longer changes after that.
     """
     if kind not in (2, 3, 4):
         raise ValueError("kind must be one of 2, 3, 4")
@@ -163,15 +175,22 @@ def jacobi_theta_and_tail(kind: int, q: ArrayLike) -> Tuple[ArrayLike, ArrayLike
     else:
         term = total = full_like(q, 1.0)  # q^(n^2) at n = 0
         w, sign = q, (1.0 if kind == 3 else -1.0)
-    s = sign
+    s, live, rem = sign, True, full_like(q, 0.0)
     while True:
         term = term * w
-        total = total + 2.0 * s * term
-        if not _any(2.0 * term > _TERM_CUTOFF * abs(total)):
-            break
+        two = 2.0 * term
+        total = total + s * two
         w = w * q2
-        s *= sign
-    return total, 2.0 * term * (w * q2) / (1.0 - q)
+        # Once a point passes the cutoff its terms fall below half an ulp
+        # of its total, which stops changing, so it never turns live
+        # again.  Its remainder is taken at that step, as a scalar call
+        # takes it; the array's later steps add zero to it.
+        still = two > _TERM_CUTOFF * abs(total)
+        rem = rem + two * w * (live != still)
+        if not _any(still):
+            break
+        live, s = still, s * sign
+    return total, rem / (1.0 - q)
 
 
 def jacobi_theta(kind: int, q: ArrayLike) -> ArrayLike:
@@ -182,17 +201,53 @@ def jacobi_theta(kind: int, q: ArrayLike) -> ArrayLike:
     return jacobi_theta_and_tail(kind, q)[0]
 
 
+def _theta_modular(x: ArrayLike) -> ArrayLike:
+    """theta(e^(-pi x)) = e^(pi x/8)/sqrt(2x) * theta4(e^(-2 pi/x)) for x > 0."""
+    exp, sqrt = (math.exp, math.sqrt) if isinstance(x, float) else (np.exp, np.sqrt)
+    return exp(math.pi * x / 8.0) / sqrt(2.0 * x) * jacobi_theta(4, exp(-2.0 * math.pi / x))
+
+
+def _theta_of_power(t: ArrayLike, gamma: float) -> ArrayLike:
+    """theta(s) at s = t^gamma for t in [0, 1), with x = -ln(s)/pi.
+
+    Each point is summed on the side of the functional equation that
+    ends within a few terms there; the switch ``s = e^-pi`` (x = 1)
+    follows from two inequalities, not from tuning:
+
+    - s <= e^-pi: the direct sum ``theta_full(s)``.  Term j is
+      s^(j(j-1)/2) <= e^(-pi j(j-1)/2), so term 6 is below
+      e^(-15 pi) < 1e-20 and the sum stops after at most 5 terms.
+    - s > e^-pi: the modular side, whose nome q = e^(-2 pi/x) is below
+      e^(-2 pi) < 1.9e-3.  Then 2 q^9 < 1e-24 and theta4 stops within 3
+      terms of its series.
+
+    x is taken as -gamma ln(t)/pi rather than from the rounded s, which
+    would cost relative accuracy ~1e-16/x as t nears 1.  A float gives a
+    float and an array an array of its shape; each array point is summed
+    on its own side.
+    """
+    t = check_unit_interval(t, hi_open=True)
+    s = t ** gamma
+    if isinstance(t, float):
+        if s <= _MODULAR_SWITCH:
+            return theta_full(s, 1.0, _OBJECTIVE_TAIL_TOL)
+        return _theta_modular(-gamma * math.log(t) / math.pi)
+    direct = s <= _MODULAR_SWITCH
+    out = np.empty_like(s)
+    out[direct] = theta_full(s[direct], 1.0, _OBJECTIVE_TAIL_TOL)
+    out[~direct] = _theta_modular(-gamma * np.log(t[~direct]) / math.pi)
+    return out
+
+
 def functional_equation_residual(x: float) -> float:
-    """|theta(e^(-pi x)) - e^(pi x/8)/sqrt(2x) * theta4(e^(-2 pi/x))| for x > 0."""
+    """|theta(e^(-pi x)) - e^(pi x/8)/sqrt(2x) * theta4(e^(-2 pi/x))| for x > 0.
+
+    The right-hand side is the modular evaluator behind
+    :func:`one_minus_t_theta_max`; the left-hand side is the direct sum.
+    """
     if x <= 0:
         raise ValueError("x must be positive")
-    lhs = theta_full(math.exp(-math.pi * x), 1.0, 1e-16)
-    rhs = (
-        math.exp(math.pi * x / 8.0)
-        / math.sqrt(2.0 * x)
-        * jacobi_theta(4, math.exp(-2.0 * math.pi / x))
-    )
-    return abs(lhs - rhs)
+    return abs(theta_full(math.exp(-math.pi * x), 1.0, 1e-16) - _theta_modular(float(x)))
 
 
 def gamma_chi(tol: float = 1e-12) -> GammaChiResult:
@@ -229,12 +284,16 @@ def one_minus_t_theta_max(gamma: float, tol: float = 1e-12) -> Tuple[float, floa
 
     Returns ``(t_star, value)`` from ``maximize_on_unit_interval`` (grid
     scan plus golden-section refinement); the objective exceeds 1 for
-    gamma < 1.
+    gamma < 1.  theta(t^gamma) comes from the functional equation: the
+    direct sum where t^gamma <= e^-pi (at most 5 terms) and
+    e^(pi x/8)/sqrt(2x) * theta4(e^(-2 pi/x)), x = -gamma ln(t)/pi,
+    above it (at most 3 theta4 terms), so no point sums the thousands
+    of terms the direct series needs as t nears 1.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
     return maximize_on_unit_interval(
-        lambda t: (1.0 - t) * theta_full(t, gamma, 1e-14), xtol=tol
+        lambda t: (1.0 - t) * _theta_of_power(t, gamma), xtol=tol
     )

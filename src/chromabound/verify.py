@@ -101,14 +101,20 @@ def theta_checks() -> List[CheckResult]:
         )
     )
 
-    ok, detail = True, ""
+    worst_gamma, worst = 0.0, math.inf
     for gamma in np.linspace(0.05, 1.0, 20):
         _, value = one_minus_t_theta_max(float(gamma), 1e-10)
-        floor = gc.value / math.sqrt(gamma)
-        if value < floor - 1e-9:
-            ok, detail = False, f"gamma={gamma:.3f}: {value} < {floor}"
-            break
-    out.append(_check("theta", "one_minus_t_theta_max_floor", ok, detail))
+        margin = value - gc.value / math.sqrt(gamma)
+        if margin < worst:
+            worst_gamma, worst = float(gamma), margin
+    out.append(
+        _check(
+            "theta",
+            "one_minus_t_theta_max_floor",
+            worst >= -1e-9,
+            f"min margin {worst:.3e} at gamma = {worst_gamma:.3f}",
+        )
+    )
     return out
 
 
@@ -126,18 +132,22 @@ def bounds_checks() -> List[CheckResult]:
             break
     out.append(_check("bounds", "gamma_determinism", ok, detail))
 
-    ok, detail = True, ""
+    above_one, worst_gamma, worst = True, 0.0, math.inf
     for gamma in (0.15, 0.3, 0.5, 0.7, 0.9):
         _, _, value = bound_engine.best_l(gamma)
-        floor = gc / math.sqrt(gamma)
-        theta_floor = one_minus_t_theta_max(gamma)[1]
-        if value <= 1.0:
-            ok, detail = False, f"gamma={gamma}: value {value} <= 1"
-            break
-        if value < floor - 1e-9 or value < theta_floor - 1e-9:
-            ok, detail = False, f"gamma={gamma}: {value} < max({floor}, {theta_floor})"
-            break
-    out.append(_check("bounds", "best_l_dominates_closed_forms", ok, detail))
+        above_one = above_one and value > 1.0
+        margin = value - max(gc / math.sqrt(gamma), one_minus_t_theta_max(gamma)[1])
+        if margin < worst:
+            worst_gamma, worst = gamma, margin
+    out.append(
+        _check(
+            "bounds",
+            "best_l_dominates_closed_forms",
+            above_one and worst >= -1e-9,
+            f"min margin {worst:.3e} at gamma = {worst_gamma}"
+            + ("" if above_one else "; a value is <= 1"),
+        )
+    )
 
     ok, detail = True, ""
     for m in range(1, 11):

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import chromabound.cli as cli_module
 from chromabound import BoundQuery, chromatic_lower_bound, dn_series, e8_series, table
 from chromabound.cli import MAX_DN, MAX_M, MAX_SERIES_K, MAX_TABLE_K, MAX_TABLE_M, cli
-from chromabound.verify import theta_checks
+from chromabound.verify import bounds_checks, theta_checks
 
 
 @pytest.fixture
@@ -234,6 +234,22 @@ class TestVerify:
         details = {c.name: c.detail for c in theta_checks()}
         for name in ("theta3_dominates_theta4", "theta4_alternating_bracket"):
             assert " at q = " in details[name]
+
+    def test_floor_checks_report_worst_gamma_and_margin(self):
+        checks = {f"{c.suite}.{c.name}": c for c in theta_checks() + bounds_checks()}
+        for name in ("theta.one_minus_t_theta_max_floor", "bounds.best_l_dominates_closed_forms"):
+            check = checks[name]
+            assert check.passed
+            margin, at = check.detail.removeprefix("min margin ").split(" ", 1)
+            assert float(margin) >= -1e-9
+            assert at.startswith("at gamma = ")
+
+    def test_plain_output_lists_every_check_once(self, runner):
+        result = runner.invoke(cli, ["verify", "--suite", "all"])
+        lines = result.stdout.splitlines()
+        assert result.exit_code == 0
+        assert len(lines) == 22 and all(line.startswith("ok   ") for line in lines[:21])
+        assert lines[-1] == "21/21 checks passed"
 
     def test_unknown_suite_is_usage_error(self, runner):
         result = runner.invoke(cli, ["verify", "--suite", "nonsense"])

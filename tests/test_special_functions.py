@@ -14,6 +14,9 @@ from chromabound import (
     theta_ratio,
     theta_truncated,
 )
+from chromabound import special_functions
+from chromabound.optimize import GRID, maximize_on_unit_interval
+from chromabound.special_functions import _MODULAR_SWITCH, _theta_of_power
 
 
 def direct_partial_theta(t, gamma, terms):
@@ -144,6 +147,16 @@ class TestJacobiTheta:
         assert 0.0 < tail < 1e-16 * abs(value)
         assert jacobi_theta(kind, q) == value
 
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    def test_array_tail_matches_scalar_on_grid(self, kind):
+        # Each point's remainder is taken where that point stops, not where
+        # the slowest point of the array stops (the terms have underflowed
+        # to 0 there).  Kind 2 starts from numpy's q**0.25, an ulp off libm.
+        _, tails = jacobi_theta_and_tail(kind, GRID)
+        scalars = np.array([jacobi_theta_and_tail(kind, float(q))[1] for q in GRID])
+        assert np.all(tails > 0.0)
+        np.testing.assert_allclose(tails, scalars, rtol=4e-15 if kind == 2 else 0.0, atol=0.0)
+
     def test_tail_vanishes_at_zero(self):
         for kind in (2, 3, 4):
             assert jacobi_theta_and_tail(kind, 0.0)[1] == 0.0
@@ -167,6 +180,26 @@ class TestFunctionalEquation:
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
             functional_equation_residual(0.0)
+
+
+class TestThetaOfPower:
+    @pytest.mark.parametrize("gamma", [0.05, 1.0 / 3.0, 1.0, 3.0])
+    def test_agrees_with_direct_sum(self, gamma):
+        switch_t = math.exp(-math.pi / gamma)
+        ts = [0.0, switch_t, math.nextafter(switch_t, 0.0), math.nextafter(switch_t, 1.0)]
+        ts += [s ** (1.0 / gamma) for s in (1e-6, 0.01, 0.04, 0.05, 0.1, 0.5, 0.9, 0.97)]
+        for t in ts:
+            assert _theta_of_power(t, gamma) == pytest.approx(theta_full(t, gamma), rel=1e-14)
+        assert _theta_of_power(0.0, gamma) == 1.0
+
+    def test_switch_point_sums_directly(self):
+        # At gamma = 1 the switch point is s = t exactly, which takes the
+        # direct sum; the next float up takes the modular side.
+        assert _theta_of_power(_MODULAR_SWITCH, 1.0) == theta_full(_MODULAR_SWITCH, 1.0, 1e-14)
+        above = math.nextafter(_MODULAR_SWITCH, 1.0)
+        assert _theta_of_power(above, 1.0) == special_functions._theta_modular(
+            -math.log(above) / math.pi
+        )
 
 
 class TestGammaChi:
@@ -207,6 +240,28 @@ class TestOneMinusTThetaMax:
             _, value = one_minus_t_theta_max(float(gamma))
             assert value >= gc / math.sqrt(gamma) - 1e-9
 
+    def test_direct_sum_only_below_switch(self, monkeypatch):
+        # Past s = t^gamma = e^-pi the direct series needs thousands of
+        # terms near t = 1; the modular side takes those points.
+        seen = []
+        direct = special_functions.theta_full
+
+        def spy(t, gamma=1.0, tail_tol=1e-15):
+            seen.append(float(np.max(t, initial=0.0)) ** gamma)
+            return direct(t, gamma, tail_tol)
+
+        monkeypatch.setattr(special_functions, "theta_full", spy)
+        for gamma in (0.05, 0.5, 1.0, 3.0):
+            one_minus_t_theta_max(gamma)
+        assert seen and max(seen) <= _MODULAR_SWITCH
+
+    def test_matches_direct_sum_maximization(self):
+        for gamma in np.linspace(0.05, 1.0, 20):
+            _, direct = maximize_on_unit_interval(
+                lambda t: (1.0 - t) * theta_full(t, float(gamma), 1e-14), xtol=1e-12
+            )
+            assert one_minus_t_theta_max(float(gamma))[1] == pytest.approx(direct, rel=1e-14)
+
     def test_maximizer_is_a_critical_point(self):
         t_star, value = one_minus_t_theta_max(0.5)
         for dt in (-1e-5, 1e-5):
@@ -229,6 +284,7 @@ _E8 = e8_series(64)
         pytest.param(lambda t, g: jacobi_theta(2, t), 1e-12, id="jacobi_theta-2"),
         pytest.param(lambda t, g: jacobi_theta(3, t), 1e-12, id="jacobi_theta-3"),
         pytest.param(lambda t, g: jacobi_theta(4, t), 1e-12, id="jacobi_theta-4"),
+        pytest.param(lambda t, g: _theta_of_power(t, g), 1e-14, id="_theta_of_power"),
     ],
 )
 def test_scalar_array_contract(f, rel, gamma):
