@@ -15,6 +15,13 @@ satisfies l_star <= ceil(2/gamma) - 1, and at k = 1 it equals that bound
 (2m + 1) for every m <= 15.  ``best_l`` scans exactly this window from
 l = 2: the 1-term ratio R_1 is identically 1, the value it starts from.
 
+``best_l`` sweeps the grid once per gamma: R_l on ``optimize.GRID`` for
+every l comes from running numerator and denominator sums, one term
+each per step, with the float operations of ``theta_truncated`` and
+``theta_ratio``, so each R_l equals a fresh array call bit for bit.
+Only the refinement of the local grid maxima of each R_l evaluates the
+ratio anew, through the scalar ``theta_ratio``.
+
 All functions are pure.  ``table`` computes its cells serially in a
 fixed order (m ascending, then k ascending), and each cell depends only
 on its own (m, k).
@@ -26,7 +33,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .optimize import maximize_on_unit_interval
+import numpy as np
+
+from .optimize import GRID, refine_grid_maxima
 from .special_functions import (
     ArrayLike,
     check_unit_interval,
@@ -107,8 +116,16 @@ def maximize_over_t(gamma: float, l: int, tol: float = 1e-12) -> Tuple[float, fl
         raise ValueError("l must be a positive integer")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    t_star, value = maximize_on_unit_interval(
-        lambda t: theta_ratio(t, gamma, l), xtol=tol
+    return _refine_l(gamma, l, theta_ratio(GRID, gamma, l), tol)
+
+
+def _refine_l(
+    gamma: float, l: int, vals: np.ndarray, tol: float
+) -> Tuple[float, float]:
+    # Refine the l-term ratio from its values on GRID; a maximum below the
+    # endpoint limit 1 reports the supremum 1 at t_star = 0.
+    t_star, value = refine_grid_maxima(
+        lambda t: theta_ratio(t, gamma, l), vals, xtol=tol
     )
     if value < 1.0:
         return 0.0, 1.0
@@ -121,6 +138,8 @@ def best_l(gamma: float, tol: float = 1e-12) -> Tuple[int, float, float]:
     Starts from ``(1, 0.0, 1.0)``, the 1-term ratio R_1 = 1, then scans
     l = 2 .. ceil(2/gamma) - 1 and returns ``(l_star, t_star, value)``;
     for gamma >= 1 nothing is scanned.  Ties break toward smaller l.
+    Each l gives the result of ``maximize_over_t(gamma, l, tol)``, bit for
+    bit, from one running sweep of the grid (see the module docstring).
     By the mediant argument in the module docstring no l past the window
     can win; the window is attained at k = 1 (l_star = 2m + 1) for every
     m <= 15 (checked at 60 significant digits).  For gamma = k/(m+1) the
@@ -130,8 +149,16 @@ def best_l(gamma: float, tol: float = 1e-12) -> Tuple[int, float, float]:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     l_star, t_star, value = 1, 0.0, 1.0
+    r = GRID ** gamma
+    num = term = den = p = np.ones_like(GRID)
+    q = r
     for l in range(2, math.ceil(2.0 / gamma)):
-        t, v = maximize_over_t(gamma, l, tol)
+        term = term * q
+        num = num + term
+        q = q * r
+        p = p * GRID
+        den = den + p
+        t, v = _refine_l(gamma, l, num / den, tol)
         if v > value:
             l_star, t_star, value = l, t, v
     return l_star, t_star, value

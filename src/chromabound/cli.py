@@ -48,9 +48,10 @@ _FORMATS = ("plain", "json", "csv")
 _DEFAULT_TOL = 1e-9
 _MIN_SERIES_K = 16
 
-# Input caps.  Each of bound --m 500, table at 50 x 50, and lattice-mu
-# for leech or dn:64 at K = 8192 takes under 20 s on a 2-vCPU machine;
-# larger inputs are usage errors rather than runs of hours.
+# Input caps.  At the caps, one CLI run each on a shared 2-vCPU machine
+# took 2.9 s for bound --m 500, 2.6 s for table at 50 x 50, and 0.8 s and
+# 1.0 s for lattice-mu with leech and dn:64 at K = 8192; larger inputs
+# are usage errors rather than runs of hours.
 MAX_M = 500
 MAX_TABLE_M = 50
 MAX_TABLE_K = 50

@@ -124,24 +124,22 @@ def multinomial(n: int, counts: Sequence[int]) -> int:
 
 
 def _arrangements(counts: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    # Distinct arrangements of the multiset {i with multiplicity counts[i]}.
-    n = sum(counts)
-    work = list(counts)
-    prefix: List[int] = []
-
-    def rec() -> Iterator[Tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
+    # Distinct arrangements of the multiset {i with multiplicity counts[i]},
+    # in lexicographic order, by the next-permutation step.
+    a = [sym for sym, c in enumerate(counts) for _ in range(c)]
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for sym in range(len(work)):
-            if work[sym]:
-                work[sym] -= 1
-                prefix.append(sym)
-                yield from rec()
-                prefix.pop()
-                work[sym] += 1
-
-    yield from rec()
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 def profile_diameter_bruteforce(

@@ -253,12 +253,17 @@ def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     )
 
 
+#: Remedy named by the closed forms' TailBoundError: they have no K.
+_LARGER_TOL = "request a larger tol"
+
+
 def _mu(
     label: str,
     dim: int,
     theta: Callable[[ArrayLike], ArrayLike],
     tail: Callable[[ArrayLike], ArrayLike],
     tol: float,
+    remedy: str,
 ) -> MuResult:
     """Maximize theta(t)(1-t)^dim where theta's remainder ``tail`` is below ``tol``.
 
@@ -267,7 +272,8 @@ def _mu(
     ``hi`` that first uncertified point (1 if there is none).  Fewer than
     3 certified points, a maximizer not strictly between the first and
     the last certified point, or a tail at the maximizer that is not
-    below ``tol`` raise TailBoundError.
+    below ``tol`` raise TailBoundError; the first two messages end with
+    ``remedy``, the caller's way to certify more of the grid.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -275,7 +281,7 @@ def _mu(
     certified = len(GRID) if bool(mask.all()) else int(np.argmin(mask))
     if certified < 3:
         raise TailBoundError(
-            f"tail bound below {tol} on too small a region; request larger K"
+            f"tail bound below {tol} on too small a region; {remedy}"
         )
     hi = float(GRID[certified]) if certified < len(GRID) else 1.0
     t_star, max_value = maximize_on_unit_interval(
@@ -290,7 +296,7 @@ def _mu(
         )
         raise TailBoundError(
             f"tail bound at the maximizer is not certified below {tol}: the maximizer"
-            f" sits at the edge of the certified region{past}; request larger K"
+            f" sits at the edge of the certified region{past}; {remedy}"
         )
     tail_at_star = float(tail(t_star))
     if not tail_at_star < tol:
@@ -315,7 +321,9 @@ def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
     at the maximizer never fires; a TailBoundError asks for a larger K.
     """
     label = series.label or f"dim{series.dim}"
-    return _mu(label, series.dim, series.evaluate, series.tail_bound, tol)
+    return _mu(
+        label, series.dim, series.evaluate, series.tail_bound, tol, "request larger K"
+    )
 
 
 def mu_z(tol: float = 1e-10) -> MuResult:
@@ -326,7 +334,12 @@ def mu_z(tol: float = 1e-10) -> MuResult:
     ``tol`` bounds theta3's summation remainder.
     """
     return _mu(
-        "Z", 1, lambda t: jacobi_theta(3, t), lambda t: jacobi_theta_and_tail(3, t)[1], tol
+        "Z",
+        1,
+        lambda t: jacobi_theta(3, t),
+        lambda t: jacobi_theta_and_tail(3, t)[1],
+        tol,
+        _LARGER_TOL,
     )
 
 
@@ -339,7 +352,7 @@ def mu_dn(n: int, tol: float = 1e-10) -> MuResult:
         # First order in theta3's remainder; theta4^n moves no more, as |theta4| <= theta3.
         return n * t3 ** (n - 1) * tail3
 
-    return _mu(f"D{n}", n, lambda t: dn_theta(n, t), tail, tol)
+    return _mu(f"D{n}", n, lambda t: dn_theta(n, t), tail, tol, _LARGER_TOL)
 
 
 def double_cap_compare(mu: float) -> str:

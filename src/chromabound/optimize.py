@@ -4,7 +4,9 @@ Dense grid scan followed by golden-section refinement.  Unimodality is
 never assumed: several distinct local grid maxima are refined and the
 best refined point wins.  The scan can stop short of 1 (``hi``), so a
 caller whose objective is trusted only on a prefix of ``GRID`` uses the
-same optimizer.
+same optimizer.  ``maximize_on_unit_interval`` is the scan followed by
+``refine_grid_maxima``; a caller that already holds the scanned values
+passes them to the refinement directly.
 """
 
 from __future__ import annotations
@@ -52,26 +54,33 @@ def golden_section_max(
     return x, f(x)
 
 
-def maximize_on_unit_interval(
-    f: Callable, xtol: float = 1e-12, hi: float = 1.0
+def refine_grid_maxima(
+    f: Callable, vals: np.ndarray, xtol: float = 1e-12, hi: float = 1.0
 ) -> Tuple[float, float]:
-    """Global maximum of ``f`` on (0, hi), with ``GRID[0] < hi <= 1``.
+    """Refine the scanned values ``vals = f(GRID[GRID < hi])`` by golden section.
 
-    ``f`` must accept both a float and a 1-d ndarray.  The grid scan uses
-    the points of ``GRID`` below ``hi``; the ``RESTARTS`` highest
-    candidates among the local grid maxima and the scanned endpoints are
-    refined by golden section, which guards against picking a secondary
-    hump; equal grid values are ranked by lower index.  The bracket of
-    the last scanned point ends halfway to ``hi``.
+    Candidates are the local grid maxima: an interior point at least as
+    high as both neighbours, the first point if ``vals[0] >= vals[1]``
+    and the last if ``vals[-1] >= vals[-2]``.  An endpoint whose
+    neighbour is higher can hide a higher value only within one grid
+    step of the interval's end, the same risk the scan already takes
+    between any two grid points, so it is not refined.  The
+    ``RESTARTS`` highest candidates are refined, which guards against
+    picking a secondary hump; equal grid values are ranked by lower
+    index.  The bracket of the first point starts halfway to 0 and that
+    of the last point ends halfway to ``hi``.  ``f`` is called on floats
+    only.
 
-    Returns ``(x_star, value)``.
+    Returns ``(x_star, value)``: the best refined point, or the best grid
+    point if no refinement beats it.
     """
-    ts = GRID[GRID < hi]
-    vals = np.asarray(f(ts), dtype=float)
-    n = len(ts)
-
+    n = len(vals)
+    ts = GRID[:n]
     peak = np.ones(n, dtype=bool)
     peak[1:-1] = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
+    if n > 1:
+        peak[0] = vals[0] >= vals[1]
+        peak[-1] = vals[-1] >= vals[-2]
     candidates = np.nonzero(peak)[0]
     top = candidates[np.argsort(-vals[candidates], kind="stable")[:RESTARTS]]
 
@@ -84,3 +93,18 @@ def maximize_on_unit_interval(
         if v > best_v:
             best_x, best_v = x, v
     return best_x, best_v
+
+
+def maximize_on_unit_interval(
+    f: Callable, xtol: float = 1e-12, hi: float = 1.0
+) -> Tuple[float, float]:
+    """Global maximum of ``f`` on (0, hi), with ``GRID[0] < hi <= 1``.
+
+    ``f`` must accept both a float and a 1-d ndarray.  Scans ``f`` on the
+    points of ``GRID`` below ``hi`` in one array call and refines the
+    local grid maxima with ``refine_grid_maxima``.
+
+    Returns ``(x_star, value)``.
+    """
+    vals = np.asarray(f(GRID[GRID < hi]), dtype=float)
+    return refine_grid_maxima(f, vals, xtol, hi)

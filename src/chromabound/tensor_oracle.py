@@ -10,7 +10,9 @@ sqrt(2p) * {1, sqrt(2), ..., sqrt(m)}.
 
 Everything here favors exhaustive enumeration over cleverness; these
 are correctness oracles with deliberately small domains, not production
-paths.
+paths.  The distinctness indicator depends on a tuple only through its
+coincidence pattern, so its sum over S_k is still exhaustive, but runs
+once per pattern and is cached.
 """
 
 from __future__ import annotations
@@ -35,6 +37,25 @@ class DiameterError(ValueError):
     """Pairwise half squared distances reach (m+1)*p, outside the valid window."""
 
 
+def _cycles(image: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    # Cycles of the permutation i -> image[i - 1] of {1, ..., k}, each led
+    # by its smallest element, ordered by that element.
+    seen = [False] * len(image)
+    out: List[Tuple[int, ...]] = []
+    for start in range(1, len(image) + 1):
+        if seen[start - 1]:
+            continue
+        cycle = [start]
+        seen[start - 1] = True
+        nxt = image[start - 1]
+        while nxt != start:
+            cycle.append(nxt)
+            seen[nxt - 1] = True
+            nxt = image[nxt - 1]
+        out.append(tuple(cycle))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1, ..., k} given by its image tuple."""
@@ -51,20 +72,7 @@ class Permutation:
 
     def cycles(self) -> Tuple[Tuple[int, ...], ...]:
         """Cycle decomposition, each cycle led by its smallest element."""
-        seen = [False] * len(self.image)
-        out: List[Tuple[int, ...]] = []
-        for start in range(1, len(self.image) + 1):
-            if seen[start - 1]:
-                continue
-            cycle = [start]
-            seen[start - 1] = True
-            nxt = self(start)
-            while nxt != start:
-                cycle.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self(nxt)
-            out.append(tuple(cycle))
-        return tuple(out)
+        return _cycles(self.image)
 
     @property
     def sign(self) -> int:
@@ -114,15 +122,28 @@ def is_k_cycle(sigma: Permutation) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _non_cycle_terms(k: int) -> Tuple[Tuple[int, Tuple[Tuple[int, ...], ...]], ...]:
-    # (sign, cycles as 0-based index tuples) for every non-k-cycle of S_k.
+def _non_cycle_terms(k: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    # (sign, 0-based image) for every non-k-cycle of S_k.
     out = []
-    for sigma in symmetric_group(k):
-        if is_k_cycle(sigma):
+    for image in itertools.permutations(range(1, k + 1)):
+        cycles = _cycles(image)
+        if len(cycles) == 1:
             continue
-        cycles = tuple(tuple(i - 1 for i in c) for c in sigma.cycles())
-        out.append((sigma.sign, cycles))
+        sign = -1 if (k - len(cycles)) % 2 else 1
+        out.append((sign, tuple(i - 1 for i in image)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _pattern_indicator(pattern: Tuple[int, ...]) -> int:
+    # Signed count of the non-k-cycles constant on every cycle, i.e. with
+    # pattern[sigma(i)] == pattern[i] for all i.
+    k = len(pattern)
+    return sum(
+        sign
+        for sign, image in _non_cycle_terms(k)
+        if all(pattern[image[i]] == pattern[i] for i in range(k))
+    )
 
 
 def distinctness_indicator(labels: Sequence) -> int:
@@ -130,20 +151,18 @@ def distinctness_indicator(labels: Sequence) -> int:
 
     Returns 1 when all labels are distinct, 0 when some but not all
     coincide, and (-1)^k (k-1)! when all k labels are equal.  Labels are
-    compared by equality; feasible for 2 <= k <= 7.
+    compared by equality only (they need not be hashable) to find the
+    coincidence pattern, the index of the first equal label for each
+    position; the exhaustive sum over S_k runs once per pattern.
+    Feasible for 2 <= k <= 7.
     """
     k = len(labels)
     if not 2 <= k <= 7:
         raise ValueError("tuple length must be between 2 and 7")
-    total = 0
-    for sign, cycles in _non_cycle_terms(k):
-        for cycle in cycles:
-            first = labels[cycle[0]]
-            if any(labels[i] != first for i in cycle[1:]):
-                break
-        else:
-            total += sign
-    return total
+    pattern = tuple(
+        next((j for j in range(i) if labels[j] == labels[i]), i) for i in range(k)
+    )
+    return _pattern_indicator(pattern)
 
 
 def partition_coefficients(k: int) -> Dict[SetPartition, int]:

@@ -90,16 +90,33 @@ class TestBestL:
     def test_scans_exactly_the_proven_window(self, monkeypatch, m, k):
         # l = 2 .. ceil(2(m+1)/k) - 1, and nothing past it; R_1 is identically 1.
         scanned = []
-        original = bound_engine.maximize_over_t
+        original = bound_engine._refine_l
 
-        def counting(gamma, l, tol=1e-12):
+        def counting(gamma, l, vals, tol):
             scanned.append(l)
-            return original(gamma, l, tol)
+            return original(gamma, l, vals, tol)
 
-        monkeypatch.setattr(bound_engine, "maximize_over_t", counting)
+        monkeypatch.setattr(bound_engine, "_refine_l", counting)
         l_star, _, _ = best_l(k / (m + 1))
         assert scanned == list(range(2, -(-2 * (m + 1) // k)))
         assert l_star <= scanned[-1]
+
+    @pytest.mark.parametrize(
+        "gamma",
+        sorted({k / (m + 1) for m in range(1, 31) for k in range(1, 4)} | {0.15, 0.3, 0.7}),
+    )
+    def test_sweep_matches_fresh_maximization_per_l(self, gamma):
+        # The grid sweep gives, bit for bit, what a fresh maximize_over_t
+        # gives for every l of the window.
+        l_ref, t_ref, v_ref = 1, 0.0, 1.0
+        for l in range(2, math.ceil(2.0 / gamma)):
+            t, v = maximize_over_t(gamma, l)
+            if v > v_ref:
+                l_ref, t_ref, v_ref = l, t, v
+        l_star, t_star, value = best_l(gamma)
+        assert l_star == l_ref
+        assert t_star.hex() == t_ref.hex()
+        assert value.hex() == v_ref.hex()
 
     @pytest.mark.parametrize("gamma", [1.0, 1.5, 3.0])
     def test_trivial_for_gamma_at_least_one(self, gamma):

@@ -140,6 +140,13 @@ class TestLatticeMu:
         assert result.exit_code == 1
         assert "not below 1e-30" in result.output
 
+    def test_zn_failure_names_tol_not_k(self, runner):
+        # Z has a closed form and no series length K to raise.
+        result = runner.invoke(cli, ["lattice-mu", "--lattice", "zn", "--tol", "1e-30"])
+        assert result.exit_code == 1
+        assert "tol" in result.output.rpartition(";")[2]
+        assert "K" not in result.output
+
     @pytest.mark.parametrize("tol", ["1e-12", "1e-30"])
     @pytest.mark.parametrize("label", ["zn", "dn:8", "e8", "leech"])
     def test_success_means_tail_below_tol(self, runner, label, tol):

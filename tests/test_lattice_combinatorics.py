@@ -17,6 +17,7 @@ from chromabound import (
     profile_diameter,
     profile_diameter_bruteforce,
 )
+from chromabound.lattice_combinatorics import _arrangements
 
 
 def enumerate_box_count(n, l, d):
@@ -158,6 +159,34 @@ class TestProfileDiameter:
     def test_bruteforce_budget(self):
         with pytest.raises(ValueError, match="budget"):
             profile_diameter_bruteforce(CompositionProfile((10, 10)), budget=10)
+
+
+def recursive_arrangements(counts):
+    """Oracle: depth-first placement, smallest free symbol first."""
+    n, work, prefix, out = sum(counts), list(counts), [], []
+
+    def rec():
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for sym in range(len(work)):
+            if work[sym]:
+                work[sym] -= 1
+                prefix.append(sym)
+                rec()
+                prefix.pop()
+                work[sym] += 1
+
+    rec()
+    return out
+
+
+class TestArrangements:
+    def test_lexicographic_order_and_count(self):
+        for counts in itertools.product(range(4), repeat=4):
+            got = list(_arrangements(counts))
+            assert got == recursive_arrangements(counts)
+            assert len(got) == multinomial(sum(counts), counts)
 
 
 class TestAlternatingSquareIdentity:

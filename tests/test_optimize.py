@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chromabound import optimize
 from chromabound.optimize import (
     GRID,
     GRID_POINTS,
@@ -73,3 +74,45 @@ def test_equal_grid_peaks_are_both_refined():
     x, v = maximize_on_unit_interval(f)
     assert GRID[3000] < x < GRID[3001]
     assert v > 1.0
+
+
+@pytest.fixture
+def brackets(monkeypatch):
+    """Brackets ``(lo, hi)`` of every golden-section refinement."""
+    seen = []
+    original = optimize.golden_section_max
+
+    def spy(f, lo, hi, xtol=1e-12):
+        seen.append((lo, hi))
+        return original(f, lo, hi, xtol)
+
+    monkeypatch.setattr(optimize, "golden_section_max", spy)
+    return seen
+
+
+def test_low_endpoints_are_not_refined(brackets):
+    # One interior hump, both endpoints below their neighbours: a single
+    # refinement, around the grid maximum.
+    x, v = maximize_on_unit_interval(lambda t: -((t - 0.4) ** 2))
+    assert len(brackets) == 1
+    lo, hi = brackets[0]
+    assert lo < 0.4 < hi and hi - lo < 3.0 / GRID_POINTS
+    assert x == pytest.approx(0.4, abs=1e-6)
+
+
+def test_increasing_objective_returns_right_end_maximum(brackets):
+    x, v = maximize_on_unit_interval(lambda t: t * t)
+    assert brackets == [(float(GRID[-2]), 0.5 * (1.0 + float(GRID[-1])))]
+    assert GRID[-1] < x <= 0.5 * (1.0 + GRID[-1])
+    assert v == x * x
+
+
+def test_two_interior_humps_are_both_refined(brackets):
+    def f(t):
+        return np.exp(-(((t - 0.3) / 0.05) ** 2)) + 0.9 * np.exp(-(((t - 0.7) / 0.05) ** 2))
+
+    x, v = maximize_on_unit_interval(f)
+    assert len(brackets) == 2
+    assert all(any(lo < c < hi for lo, hi in brackets) for c in (0.3, 0.7))
+    assert x == pytest.approx(0.3, abs=1e-4)
+

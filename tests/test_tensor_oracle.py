@@ -93,6 +93,16 @@ class TestDistinctnessIndicator:
         for labels in itertools.product(range(4), repeat=k):
             assert distinctness_indicator(labels) == brute_indicator(labels)
 
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_long_tuples_against_bruteforce(self, k):
+        for labels in [("a",) * k, ("x", 1, "x", 2.0, 1, "y", "x")[:k]]:
+            assert distinctness_indicator(labels) == brute_indicator(labels)
+
+    def test_unhashable_labels(self):
+        # Lists compare by value and cannot be hashed.
+        for labels in [([0], [1], [0]), ([0], [1], [2], [3]), ([1, 2],) * 4, ([], [0], [], [0])]:
+            assert distinctness_indicator(labels) == brute_indicator(labels)
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_three_valued_structure(self, k):
         diagonal = (-1) ** k * math.factorial(k - 1)
