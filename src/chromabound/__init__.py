@@ -1,126 +1,119 @@
 """Lower bounds and verification oracles for chromatic numbers of
-Euclidean space with several forbidden distances."""
+Euclidean space with several forbidden distances.
+
+Importing the package runs none of its layers.  Each layer module is in
+``sys.modules`` from the start, registered through
+``importlib.util.LazyLoader``, and its body runs on the first attribute
+access; a public name such as ``chromabound.gamma_chi`` loads its layer
+when it is first looked up.  A CLI command therefore runs only the
+layers it uses.
+"""
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-from .bound_engine import (
-    BoundQuery,
-    BoundResult,
-    asymptotic_lower_bound,
-    best_l,
-    chromatic_lower_bound,
-    kupavskii_upper_base,
-    maximize_over_t,
-    table,
-    theta_ratio,
-)
-from .lattice_combinatorics import (
-    CompositionProfile,
-    alternating_square_identity,
-    count_box,
-    gf_upper_bound,
-    is_prime,
-    multinomial,
-    multinomial_lemma_check,
-    next_prime,
-    prime_gap_report,
-    profile_diameter,
-    profile_diameter_bruteforce,
-)
-from .lattice_theta import (
-    MuResult,
-    TailBoundError,
-    ThetaSeries,
-    dn_series,
-    dn_theta,
-    double_cap_compare,
-    e8_series,
-    leech_series,
-    mu_dn,
-    mu_lattice,
-    mu_z,
-    ramanujan_tau,
-)
-from .special_functions import (
-    GammaChiResult,
-    functional_equation_residual,
-    gamma_chi,
-    jacobi_theta,
-    jacobi_theta_and_tail,
-    one_minus_t_theta_max,
-    theta_full,
-    theta_truncated,
-)
-from .tensor_oracle import (
-    CliqueBoundReport,
-    DiameterError,
-    NonPrimeModulusError,
-    OddSquaredDistanceError,
-    Permutation,
-    PointConfig,
-    SetPartition,
-    clique_bound_check,
-    distinctness_indicator,
-    forbidden_distance_product,
-    is_k_cycle,
-    partition_coefficients,
-    simplex_indicator,
-    symmetric_group,
-)
+# Public names by defining layer.
+_EXPORTS = {
+    "bound_engine": (
+        "BoundQuery",
+        "BoundResult",
+        "asymptotic_lower_bound",
+        "best_l",
+        "chromatic_lower_bound",
+        "kupavskii_upper_base",
+        "maximize_over_t",
+        "table",
+        "theta_ratio",
+    ),
+    "lattice_combinatorics": (
+        "CompositionProfile",
+        "alternating_square_identity",
+        "count_box",
+        "gf_upper_bound",
+        "is_prime",
+        "multinomial",
+        "multinomial_lemma_check",
+        "next_prime",
+        "prime_gap_report",
+        "profile_diameter",
+        "profile_diameter_bruteforce",
+    ),
+    "lattice_theta": (
+        "MuResult",
+        "NoBoundError",
+        "TailBoundError",
+        "ThetaSeries",
+        "dn_series",
+        "dn_theta",
+        "double_cap_compare",
+        "e8_series",
+        "leech_series",
+        "mu_dn",
+        "mu_lattice",
+        "mu_z",
+        "ramanujan_tau",
+    ),
+    "special_functions": (
+        "GammaChiResult",
+        "functional_equation_residual",
+        "gamma_chi",
+        "jacobi_theta",
+        "jacobi_theta_and_tail",
+        "one_minus_t_theta_max",
+        "theta_full",
+        "theta_truncated",
+    ),
+    "tensor_oracle": (
+        "CliqueBoundReport",
+        "DiameterError",
+        "NonPrimeModulusError",
+        "OddSquaredDistanceError",
+        "Permutation",
+        "PointConfig",
+        "SetPartition",
+        "clique_bound_check",
+        "distinctness_indicator",
+        "forbidden_distance_product",
+        "is_k_cycle",
+        "partition_coefficients",
+        "simplex_indicator",
+        "symmetric_group",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+_LAYERS = (*_EXPORTS, "optimize", "verify")
 
-__all__ = [
-    "BoundQuery",
-    "BoundResult",
-    "CliqueBoundReport",
-    "CompositionProfile",
-    "DiameterError",
-    "GammaChiResult",
-    "MuResult",
-    "NonPrimeModulusError",
-    "OddSquaredDistanceError",
-    "Permutation",
-    "PointConfig",
-    "SetPartition",
-    "TailBoundError",
-    "ThetaSeries",
-    "alternating_square_identity",
-    "asymptotic_lower_bound",
-    "best_l",
-    "chromatic_lower_bound",
-    "clique_bound_check",
-    "count_box",
-    "distinctness_indicator",
-    "dn_series",
-    "dn_theta",
-    "double_cap_compare",
-    "e8_series",
-    "forbidden_distance_product",
-    "functional_equation_residual",
-    "gamma_chi",
-    "gf_upper_bound",
-    "is_k_cycle",
-    "is_prime",
-    "jacobi_theta",
-    "jacobi_theta_and_tail",
-    "kupavskii_upper_base",
-    "leech_series",
-    "maximize_over_t",
-    "multinomial",
-    "multinomial_lemma_check",
-    "mu_dn",
-    "mu_lattice",
-    "mu_z",
-    "next_prime",
-    "one_minus_t_theta_max",
-    "partition_coefficients",
-    "prime_gap_report",
-    "profile_diameter",
-    "profile_diameter_bruteforce",
-    "ramanujan_tau",
-    "simplex_indicator",
-    "symmetric_group",
-    "table",
-    "theta_full",
-    "theta_ratio",
-    "theta_truncated",
-]
+# The verify suites in run order, named here so that the CLI builds its
+# --suite choices without running the verify layer.
+_SUITES = ("theta", "bounds", "combinatorics", "tensor")
+
+__all__ = sorted(_LAYER_OF)
+
+
+def _register_lazily(layer: str):
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _layer in _LAYERS:
+    globals()[_layer] = _register_lazily(_layer)
+del _layer
+
+
+def __getattr__(name: str):
+    # Not cached in the package namespace: each lookup returns the
+    # layer's current binding.
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[layer], name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAYER_OF})

@@ -13,6 +13,9 @@ Output formats: plain (default), json, csv.  A key=value config file
 win.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors.
+
+The layers are held as lazily loaded modules and their names looked up
+at call time, so each command runs only the layers it uses.
 """
 
 from __future__ import annotations
@@ -26,23 +29,7 @@ from typing import Dict, Optional, Sequence
 
 import click
 
-from . import __version__
-from .bound_engine import BoundQuery, chromatic_lower_bound, kupavskii_upper_base, table
-from .lattice_theta import (
-    DEFAULT_SERIES_LENGTH,
-    INV_SQRT_2,
-    SQRT3_OVER_2,
-    MuResult,
-    TailBoundError,
-    dn_series,
-    double_cap_compare,
-    e8_series,
-    leech_series,
-    mu_lattice,
-    mu_z,
-)
-from .special_functions import gamma_chi
-from .verify import SUITES, run_suites
+from . import _SUITES, __version__, bound_engine, lattice_theta, special_functions, verify
 
 _FORMATS = ("plain", "json", "csv")
 _DEFAULT_TOL = 1e-9
@@ -98,7 +85,7 @@ def _resolve_k(flag: Optional[int], cfg: Dict[str, str]) -> int:
             return int(cfg["K"])
         except ValueError:
             raise click.UsageError(f"config K is not an integer: {cfg['K']}")
-    return DEFAULT_SERIES_LENGTH
+    return lattice_theta.DEFAULT_SERIES_LENGTH
 
 
 def _resolve_format(flag: Optional[str], cfg: Dict[str, str]) -> str:
@@ -186,14 +173,14 @@ def constants(cfg: Dict[str, str], tol: Optional[float], fmt: Optional[str], out
     """Base constant with its maximizer, plus reference constants."""
     tol = _resolve_tol(tol, cfg)
     fmt = _resolve_format(fmt, cfg)
-    gc = gamma_chi(tol)
+    gc = special_functions.gamma_chi(tol)
     record = {
         "gamma_chi": gc.value,
         "u_star": gc.u_star,
         "inner_max": gc.inner_max,
-        "inv_sqrt_2": INV_SQRT_2,
-        "sqrt3_over_2": SQRT3_OVER_2,
-        "kupavskii_base_m1": kupavskii_upper_base(1),
+        "inv_sqrt_2": lattice_theta.INV_SQRT_2,
+        "sqrt3_over_2": lattice_theta.SQRT3_OVER_2,
+        "kupavskii_base_m1": bound_engine.kupavskii_upper_base(1),
     }
     _deliver(_render_records([record], fmt, tol, "constants"), output)
 
@@ -219,7 +206,7 @@ def bound(
     """Lower bound for one (m, k) cell."""
     tol = _resolve_tol(tol, cfg)
     fmt = _resolve_format(fmt, cfg)
-    result = chromatic_lower_bound(BoundQuery(m=m, k=k), tol)
+    result = bound_engine.chromatic_lower_bound(bound_engine.BoundQuery(m=m, k=k), tol)
     record = result.to_dict()
     if result.warning:
         if fmt == "json":
@@ -247,7 +234,7 @@ def table_cmd(
     """Full lower-bound grid, m ascending then k ascending."""
     tol = _resolve_tol(tol, cfg)
     fmt = _resolve_format(fmt, cfg)
-    results = table(m_max, k_max, tol)
+    results = bound_engine.table(m_max, k_max, tol)
     records = [r.to_dict() for r in results]
     if fmt == "plain":
         _deliver(_render_table_plain(records, tol), output)
@@ -255,13 +242,13 @@ def table_cmd(
         _deliver(_render_records(records, fmt, tol, "table"), output)
 
 
-def _mu_for_label(label: str, K: int, tol: float) -> MuResult:
+def _mu_for_label(label: str, K: int, tol: float) -> lattice_theta.MuResult:
     if label == "zn":
-        return mu_z(tol)
+        return lattice_theta.mu_z(tol)
     if label == "e8":
-        return mu_lattice(e8_series(K), tol)
+        return lattice_theta.mu_lattice(lattice_theta.e8_series(K), tol)
     if label == "leech":
-        return mu_lattice(leech_series(K), tol)
+        return lattice_theta.mu_lattice(lattice_theta.leech_series(K), tol)
     if label.startswith("dn:"):
         try:
             n = int(label.split(":", 1)[1])
@@ -269,7 +256,7 @@ def _mu_for_label(label: str, K: int, tol: float) -> MuResult:
             raise click.UsageError(f"bad lattice label {label!r}")
         if not 1 <= n <= MAX_DN:
             raise click.UsageError(f"dn:<n> needs 1 <= n <= {MAX_DN}")
-        return mu_lattice(dn_series(n, K), tol)
+        return lattice_theta.mu_lattice(lattice_theta.dn_series(n, K), tol)
     raise click.UsageError(
         f"unknown lattice {label!r}; use zn, dn:<n>, e8 or leech"
     )
@@ -303,7 +290,7 @@ def lattice_mu(
         raise click.UsageError(f"K must lie in [{_MIN_SERIES_K}, {MAX_SERIES_K}]")
     try:
         result = _mu_for_label(label, K, tol)
-    except TailBoundError as exc:
+    except (lattice_theta.TailBoundError, lattice_theta.NoBoundError) as exc:
         raise click.ClickException(str(exc))
     record = {
         "lattice": result.lattice_label,
@@ -313,7 +300,7 @@ def lattice_mu(
         "mu": result.mu,
         "max_value": result.max_value,
         "tail_bound": result.tail_bound,
-        "double_cap": double_cap_compare(result.mu),
+        "double_cap": lattice_theta.double_cap_compare(result.mu),
     }
     _deliver(_render_records([record], fmt, tol, "lattice-mu"), output)
 
@@ -321,14 +308,14 @@ def lattice_mu(
 @cli.command(name="verify")
 @click.option(
     "--suite",
-    type=click.Choice(tuple(SUITES) + ("all",)),
+    type=click.Choice(_SUITES + ("all",)),
     required=True,
     help="Which invariant suite to run.",
 )
 def verify_cmd(suite: str) -> None:
     """Run invariant suites; exit 0 only if every check passes."""
-    names = list(SUITES) if suite == "all" else [suite]
-    results = run_suites(names)
+    names = list(_SUITES) if suite == "all" else [suite]
+    results = verify.run_suites(names)
     failures = 0
     for res in results:
         if res.passed:

@@ -55,6 +55,12 @@ class TailBoundError(ValueError):
     """Raised when a truncated series cannot certify its tail; increase K."""
 
 
+class NoBoundError(ValueError):
+    """Raised when theta(t)(1-t)^d, bounded from above with its tail,
+    exceeds its t -> 0 limit 1 at no grid point, so mu = 1 and the
+    lattice gives no bound; a larger K or tol does not help."""
+
+
 @dataclass(frozen=True)
 class ThetaSeries:
     """Truncated theta series of an even integral lattice.
@@ -269,11 +275,18 @@ def _mu(
 
     The grid points of ``optimize.GRID`` before the first one whose tail
     is not below ``tol`` are certified; the search runs on (0, hi) with
-    ``hi`` that first uncertified point (1 if there is none).  Fewer than
-    3 certified points, a maximizer not strictly between the first and
-    the last certified point, or a tail at the maximizer that is not
-    below ``tol`` raise TailBoundError; the first two messages end with
-    ``remedy``, the caller's way to certify more of the grid.
+    ``hi`` that first uncertified point (1 if there is none).
+
+    A maximum not above 1, the t -> 0 limit, gives no bound.  It raises
+    NoBoundError if theta + tail, an upper bound on the untruncated
+    theta, keeps the objective at most 1 on the whole grid (D_n for
+    n <= 5 from the closed form, or from a long enough series); otherwise
+    a larger value past the certified region is not ruled out and it
+    raises TailBoundError.  Fewer than 3 certified points, a maximizer
+    not strictly between the first and the last certified point, or a
+    tail at the maximizer that is not below ``tol`` raise TailBoundError
+    as well.  Each TailBoundError but the last ends with ``remedy``, the
+    caller's way to certify more of the grid.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -284,9 +297,26 @@ def _mu(
             f"tail bound below {tol} on too small a region; {remedy}"
         )
     hi = float(GRID[certified]) if certified < len(GRID) else 1.0
-    t_star, max_value = maximize_on_unit_interval(
-        lambda t: theta(t) * (1.0 - t) ** dim, xtol=1e-12, hi=hi
-    )
+
+    def objective(t: ArrayLike) -> ArrayLike:
+        return theta(t) * (1.0 - t) ** dim
+
+    t_star, max_value = maximize_on_unit_interval(objective, xtol=1e-12, hi=hi)
+    if not max_value > 1.0:
+        claim = (
+            f"theta_{label}(t)(1-t)^{dim} has maximum {max_value!r}, not above its"
+            f" t -> 0 limit 1, where its tail bound is below {tol}"
+        )
+        upper = objective(GRID) + tail(GRID) * (1.0 - GRID) ** dim
+        if not bool((upper > 1.0).any()):
+            raise NoBoundError(
+                f"{claim}, and theta plus tail keeps it at most 1 at every grid"
+                " point of (0, 1), so mu = 1 gives no bound"
+            )
+        raise TailBoundError(
+            f"{claim}; theta plus tail exceeds 1 at some grid point, so a larger"
+            f" value is not ruled out; {remedy}"
+        )
     if not GRID[0] < t_star < GRID[certified - 1]:
         past = (
             f", and the tail bound {float(tail(hi))!r} at the next grid point"

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from . import bound_engine, lattice_combinatorics as combi, tensor_oracle
+from . import _SUITES, bound_engine, lattice_combinatorics as combi, tensor_oracle
 from .special_functions import (
     functional_equation_residual,
     gamma_chi,
@@ -376,12 +376,9 @@ def tensor_checks(seed: int = 0) -> List[CheckResult]:
     return out
 
 
-SUITES: Dict[str, Callable[[], List[CheckResult]]] = {
-    "theta": theta_checks,
-    "bounds": bounds_checks,
-    "combinatorics": combinatorics_checks,
-    "tensor": tensor_checks,
-}
+SUITES: Dict[str, Callable[[], List[CheckResult]]] = dict(
+    zip(_SUITES, (theta_checks, bounds_checks, combinatorics_checks, tensor_checks))
+)
 
 
 def run_suites(names: List[str]) -> List[CheckResult]:

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import chromabound.cli as cli_module
-from chromabound import BoundQuery, chromatic_lower_bound, dn_series, e8_series, table
+from chromabound import BoundQuery, bound_engine, chromatic_lower_bound, dn_series, e8_series, lattice_theta, table
 from chromabound.cli import MAX_DN, MAX_M, MAX_SERIES_K, MAX_TABLE_K, MAX_TABLE_M, cli
 from chromabound.verify import bounds_checks, theta_checks
 
@@ -179,6 +179,22 @@ class TestLatticeMu:
         assert doc["lattice"] == "D8"
         assert doc["mu"] == pytest.approx(0.963279, abs=1e-5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_small_dn_names_the_limit(self, runner, n):
+        # At the default K the tail leaves the last grid points open.
+        result = runner.invoke(cli, ["lattice-mu", "--lattice", f"dn:{n}"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException, not a crash
+        assert result.output.startswith("Error: ")
+        assert "not above its t -> 0 limit 1" in result.output
+        assert "request larger K" in result.output
+
+    def test_small_dn_with_long_series_has_no_bound(self, runner):
+        result = runner.invoke(cli, ["lattice-mu", "--lattice", "dn:2", "--K", "1100"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "mu = 1 gives no bound" in result.output
+
     def test_unknown_label(self, runner):
         result = runner.invoke(cli, ["lattice-mu", "--lattice", "fcc"])
         assert result.exit_code == 2
@@ -195,18 +211,20 @@ class TestInputCaps:
     def engine_calls(self, monkeypatch):
         # Record what reaches the engine and compute a small stand-in, so
         # that a run at the cap costs milliseconds.
+        # The stand-ins are computed before the patches: the real table
+        # calls bound_engine.chromatic_lower_bound, which is patched.
         calls = []
+        one_cell = table(1, 1)
         monkeypatch.setattr(
-            cli_module, "chromatic_lower_bound",
-            lambda q, tol: calls.append(q) or chromatic_lower_bound(BoundQuery(1, 1), tol),
+            bound_engine, "chromatic_lower_bound",
+            lambda q, tol: calls.append(q) or one_cell[0],
         )
         monkeypatch.setattr(
-            cli_module, "table",
-            lambda m_max, k_max, tol: calls.append((m_max, k_max)) or table(1, 1, tol),
+            bound_engine, "table", lambda m_max, k_max, tol: calls.append((m_max, k_max)) or one_cell
         )
-        monkeypatch.setattr(cli_module, "e8_series", lambda K: calls.append(K) or e8_series(128))
+        monkeypatch.setattr(lattice_theta, "e8_series", lambda K: calls.append(K) or e8_series(128))
         monkeypatch.setattr(
-            cli_module, "dn_series", lambda n, K: calls.append((n, K)) or dn_series(8, 64)
+            lattice_theta, "dn_series", lambda n, K: calls.append((n, K)) or dn_series(8, 64)
         )
         return calls
 

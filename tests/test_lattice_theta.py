@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromabound import (
+    NoBoundError,
     TailBoundError,
     ThetaSeries,
     dn_series,
@@ -277,6 +278,28 @@ class TestMu:
         assert mu_z(1e-20).tail_bound < 1e-20
         with pytest.raises(TailBoundError, match="at the maximizer"):
             mu_z(1e-30)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_small_dn_has_no_bound(self, n):
+        # theta_{D_n}(t)(1-t)^n stays below its t -> 0 limit 1, so mu = 1;
+        # a larger tol does not change that.
+        for tol in (1e-10, 1e-3):
+            with pytest.raises(NoBoundError, match="not above its t -> 0 limit 1"):
+                mu_dn(n, tol)
+
+    @pytest.mark.parametrize("n, K", [(2, 1100), (5, 4096)])
+    def test_long_dn_series_certifies_no_bound(self, n, K):
+        # From K on, theta plus tail is finite and at most 1 on the whole grid.
+        with pytest.raises(NoBoundError, match="at every grid point"):
+            mu_lattice(dn_series(n, K))
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 8])
+    def test_short_dn_series_asks_for_larger_k(self, n):
+        # Below 1 where certified, but the tail leaves a larger value open;
+        # D6 and D8 do exceed 1 (mu_dn(8) is about 0.963).
+        for K in (1, 512) if n <= 5 else (1,):
+            with pytest.raises(TailBoundError, match="not ruled out; request larger K"):
+                mu_lattice(dn_series(n, K))
 
     def test_short_series_raises_at_every_tol(self):
         for tol in (1e-9, 1e-12):

@@ -1,0 +1,120 @@
+"""Start-up: which layers a CLI command executes, and the lazy package.
+
+The layer checks run in a fresh interpreter, since this test process has
+long since executed every layer.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chromabound
+import chromabound.cli as cli_module
+from chromabound import verify
+
+LAYERS = chromabound._LAYERS
+
+# Imports chromabound.cli, runs it in-process on the argv given as JSON
+# (none if empty) and prints the registered layers, the layers whose
+# bodies ran (one not yet run is still a lazy module subclass) and
+# whether numpy was imported.
+PROBE = """
+import contextlib, io, json, sys, types
+import chromabound.cli
+argv = json.loads(sys.argv[1])
+code = 0
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = chromabound.cli.cli.main(args=argv, prog_name="chromabound", standalone_mode=False)
+layers = {n.rpartition(".")[2]: m for n, m in sys.modules.items() if n.startswith("chromabound.")}
+del layers["cli"]
+print(json.dumps({
+    "code": code or 0,
+    "registered": sorted(layers),
+    "executed": sorted(n for n, m in layers.items() if type(m) is types.ModuleType),
+    "numpy": "numpy" in sys.modules,
+}))
+"""
+
+
+def fresh(argv):
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+BOUND_LAYERS = ["bound_engine", "optimize", "special_functions"]
+LATTICE_LAYERS = ["lattice_theta", "optimize", "special_functions"]
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (["--version"], []),
+        (["bound", "--m", "1", "--k", "1"], BOUND_LAYERS),
+        (["table", "--m-max", "2", "--k-max", "2"], BOUND_LAYERS),
+        (["lattice-mu", "--lattice", "zn"], LATTICE_LAYERS),
+        (["constants"], sorted(set(BOUND_LAYERS) | set(LATTICE_LAYERS))),
+        (["verify", "--suite", "all"], sorted(n for n in LAYERS if n != "lattice_theta")),
+    ],
+    ids=["version", "bound", "table", "lattice-mu", "constants", "verify"],
+)
+def test_command_executes_only_its_layers(argv, executed):
+    found = fresh(argv)
+    assert found["code"] == 0
+    assert found["registered"] == sorted(LAYERS)
+    assert found["executed"] == executed
+    assert found["numpy"] == bool(executed)
+
+
+def test_importing_cli_registers_every_layer_and_runs_none():
+    # perfbench's tracer finds the layers in sys.modules after this import.
+    found = fresh([])
+    assert found["registered"] == sorted(LAYERS)
+    assert found["executed"] == []
+    assert not found["numpy"]
+
+
+def test_suite_choices_match_registry():
+    assert cli_module._SUITES == tuple(verify.SUITES)
+
+
+def test_layer_table_names_every_module():
+    package = Path(chromabound.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__", "cli"}
+    assert sorted(LAYERS) == sorted(modules)
+
+
+def test_every_public_name_is_its_layers_object():
+    assert len(chromabound.__all__) == len(set(chromabound.__all__))
+    listed = set(dir(chromabound))
+    for name in chromabound.__all__:
+        obj = getattr(chromabound, name)
+        layer = sys.modules[obj.__module__]
+        assert layer.__name__.rpartition(".")[2] in LAYERS
+        assert getattr(layer, name) is obj
+        assert name in listed
+
+
+def test_public_names_are_not_cached_in_the_package(monkeypatch):
+    from chromabound import bound_engine
+
+    monkeypatch.setattr(bound_engine, "table", "patched")
+    assert chromabound.table == "patched"
+    assert "table" not in vars(chromabound)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chromabound.no_such_name
+    with pytest.raises(ImportError):
+        from chromabound import no_such_name  # noqa: F401
