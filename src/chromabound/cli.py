@@ -38,7 +38,9 @@ _MIN_SERIES_K = 16
 # Input caps.  At the caps, one CLI run each on a shared 2-vCPU machine
 # took 2.9 s for bound --m 500, 2.6 s for table at 50 x 50, and 0.8 s and
 # 1.0 s for lattice-mu with leech and dn:64 at K = 8192; larger inputs
-# are usage errors rather than runs of hours.
+# are usage errors rather than runs of hours.  --k shares the cap of
+# --m: for m <= MAX_M, every k > MAX_M has gamma = k / (m + 1) >= 1 and
+# the flagged trivial result.
 MAX_M = 500
 MAX_TABLE_M = 50
 MAX_TABLE_K = 50
@@ -49,16 +51,20 @@ MAX_DN = 64
 def _load_config(path: Optional[str]) -> Dict[str, str]:
     if path is None:
         return {}
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise click.UsageError(f"{path}: not UTF-8 text")
     settings: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise click.UsageError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise click.UsageError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        settings[key.strip()] = value.strip()
     return settings
 
 
@@ -145,8 +151,11 @@ def _deliver(text: str, output: Optional[str]) -> None:
     if output is None:
         click.echo(text, nl=False)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write {output}: {exc.strerror}")
         click.echo(f"wrote {output}", err=True)
 
 
@@ -190,7 +199,7 @@ def constants(cfg: Dict[str, str], tol: Optional[float], fmt: Optional[str], out
     "--m", "m", type=click.IntRange(1, MAX_M), required=True,
     help="Number of forbidden distances.",
 )
-@click.option("--k", "k", type=click.IntRange(min=1), required=True, help="Clique parameter.")
+@click.option("--k", "k", type=click.IntRange(1, MAX_M), required=True, help="Clique parameter.")
 @click.option("--tol", type=float, default=None)
 @click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)

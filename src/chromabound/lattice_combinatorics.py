@@ -5,6 +5,10 @@ bound, the pairing formula for the largest half squared distance inside
 an arrangement class, the alternating-square identity, the multinomial
 max-versus-mean inequality, and deterministic prime selection.
 
+It also holds the package's one exact polynomial-power kernel,
+``_sparse_power``: box counts are prefix sums of its coefficients, and
+``lattice_theta`` raises the D_n and tau series with it.
+
 Everything here is exact integer arithmetic except where a float is the
 honest answer (the generating-function bound and the prime-gap excess).
 """
@@ -41,25 +45,38 @@ class CompositionProfile:
         return len(self.counts) - 1
 
 
+def _sparse_power(g: List[int], a: int, limit: int) -> List[int]:
+    """Coefficients 0..limit of (1 + sum_{i >= 1} g_i q^i)^a; g[0] is taken as 1.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), from f' g = a f g':
+    n f_n = sum_{i >= 1} ((a + 1) i - n) g_i f_{n-i}, one pass over the
+    nonzero g_i per coefficient.  A division by n that leaves a remainder
+    raises ArithmeticError.
+    """
+    terms = [(i, gi) for i, gi in enumerate(g[1 : limit + 1], start=1) if gi]
+    f = [1] + [0] * limit
+    for n in range(1, limit + 1):
+        acc = 0
+        for i, gi in terms:
+            if i > n:
+                break
+            acc += ((a + 1) * i - n) * gi * f[n - i]
+        f[n], remainder = divmod(acc, n)
+        if remainder:
+            raise ArithmeticError(f"power recurrence is not exact at q^{n}")
+    return f
+
+
 def count_box(n: int, l: int, d: int) -> int:
     """Number of v in {0, ..., l}^n with coordinate sum at most d.
 
-    Computed exactly as the partial coefficient sum of (1 + x + ... + x^l)^n
-    by a rolling dynamic program; big integers throughout, no overflow.
+    Computed exactly as the partial coefficient sum of (1 + x + ... + x^l)^n,
+    the power expanded by ``_sparse_power``; big integers throughout, no
+    overflow.
     """
     if n < 1 or l < 0 or d < 0:
         raise ValueError("need n >= 1, l >= 0, d >= 0")
-    d = min(d, n * l)
-    coeffs = [0] * (d + 1)
-    coeffs[0] = 1
-    for _ in range(n):
-        new = [0] * (d + 1)
-        for e, c in enumerate(coeffs):
-            if c:
-                for j in range(min(l, d - e) + 1):
-                    new[e + j] += c
-        coeffs = new
-    return sum(coeffs)
+    return sum(_sparse_power([1] * (l + 1), n, min(d, n * l)))
 
 
 def gf_upper_bound(n: int, l: int, d: int, t: float) -> float:

@@ -20,8 +20,9 @@ spherical sets.  Coefficients are exact integers:
            coefficients of q * prod (1 - q^n)^24; the division by 691 is
            exact, and anything else is a hard failure.
 
-D_n and tau are powers of sparse series, expanded by one exact power
-recurrence (``_sparse_power``) in O(K * nonzero terms) integer steps.
+D_n and tau are powers of sparse series, expanded by the package's exact
+power recurrence (``lattice_combinatorics._sparse_power``) in
+O(K * nonzero terms) integer steps.
 
 Series objects are immutable after construction and safe to share
 across threads.
@@ -36,6 +37,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
+from .lattice_combinatorics import _sparse_power
 from .optimize import GRID, maximize_on_unit_interval
 from .special_functions import (
     ArrayLike,
@@ -193,28 +195,6 @@ def e8_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     sigma3 = _divisor_power_sums(K, 3)
     coeffs = (1,) + tuple(240 * sigma3[j] for j in range(1, K + 1))
     return ThetaSeries(dim=8, coeffs=coeffs, growth_exponent=3.25, label="E8")
-
-
-def _sparse_power(g: List[int], a: int, limit: int) -> List[int]:
-    """Coefficients 0..limit of (1 + sum_{i >= 1} g_i q^i)^a; g[0] is taken as 1.
-
-    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), from f' g = a f g':
-    n f_n = sum_{i >= 1} ((a + 1) i - n) g_i f_{n-i}, one pass over the
-    nonzero g_i per coefficient.  A division by n that leaves a remainder
-    raises ArithmeticError.
-    """
-    terms = [(i, gi) for i, gi in enumerate(g[1 : limit + 1], start=1) if gi]
-    f = [1] + [0] * limit
-    for n in range(1, limit + 1):
-        acc = 0
-        for i, gi in terms:
-            if i > n:
-                break
-            acc += ((a + 1) * i - n) * gi * f[n - i]
-        f[n], remainder = divmod(acc, n)
-        if remainder:
-            raise ArithmeticError(f"power recurrence is not exact at q^{n}")
-    return f
 
 
 def ramanujan_tau(K: int) -> List[int]:

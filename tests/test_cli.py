@@ -67,6 +67,12 @@ class TestBound:
         result = runner.invoke(cli, ["bound", "--m", "0", "--k", "1"])
         assert result.exit_code == 2
 
+    def test_output_into_missing_directory_is_usage_error(self, runner, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        result = runner.invoke(cli, ["bound", "--m", "1", "--k", "1", "--output", str(target)])
+        assert result.exit_code == 2
+        assert f"Error: cannot write {target}: No such file or directory" in result.output
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
     def test_tol_must_be_positive_and_finite(self, runner, tmp_path, tol):
         flag = runner.invoke(cli, ["bound", "--m", "2", "--k", "1", "--tol", tol])
@@ -232,12 +238,13 @@ class TestInputCaps:
         "args, cap, reaches_engine",
         [
             (["bound", "--m", "{}", "--k", "1"], MAX_M, lambda c: BoundQuery(c, 1)),
+            (["bound", "--m", "1", "--k", "{}"], MAX_M, lambda c: BoundQuery(1, c)),
             (["table", "--m-max", "{}", "--k-max", "1"], MAX_TABLE_M, lambda c: (c, 1)),
             (["table", "--m-max", "1", "--k-max", "{}"], MAX_TABLE_K, lambda c: (1, c)),
             (["lattice-mu", "--lattice", "e8", "--K", "{}"], MAX_SERIES_K, lambda c: c),
             (["lattice-mu", "--lattice", "dn:{}", "--K", "64"], MAX_DN, lambda c: (c, 64)),
         ],
-        ids=["bound-m", "table-m-max", "table-k-max", "lattice-K", "lattice-dn"],
+        ids=["bound-m", "bound-k", "table-m-max", "table-k-max", "lattice-K", "lattice-dn"],
     )
     def test_cap(self, runner, engine_calls, args, cap, reaches_engine):
         at_cap = runner.invoke(cli, [a.format(cap) for a in args])
@@ -307,6 +314,13 @@ class TestConfigFile:
         config.write_text("just a line without equals\n")
         result = runner.invoke(cli, ["--config", str(config), "constants"])
         assert result.exit_code == 2
+
+    def test_non_utf8_config_is_usage_error(self, runner, tmp_path):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes("tol = 1e-8  # \u00b5\n".encode("latin-1"))
+        result = runner.invoke(cli, ["--config", str(config), "constants"])
+        assert result.exit_code == 2
+        assert f"Error: {config}: not UTF-8 text" in result.output
 
 
 class TestJsonLossless:

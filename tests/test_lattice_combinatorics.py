@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromabound import (
     CompositionProfile,
@@ -17,7 +19,7 @@ from chromabound import (
     profile_diameter,
     profile_diameter_bruteforce,
 )
-from chromabound.lattice_combinatorics import _arrangements
+from chromabound.lattice_combinatorics import _arrangements, _sparse_power
 
 
 def enumerate_box_count(n, l, d):
@@ -25,6 +27,41 @@ def enumerate_box_count(n, l, d):
     return sum(
         1 for v in itertools.product(range(l + 1), repeat=n) if sum(v) <= d
     )
+
+
+def inclusion_exclusion_box_count(n, l, d):
+    """Oracle: count_box by inclusion-exclusion over the coordinates above l."""
+    d = min(d, n * l)
+    return sum(
+        (-1) ** j * math.comb(n, j) * math.comb(d - j * (l + 1) + n, n)
+        for j in range(d // (l + 1) + 1)
+    )
+
+
+def dense_mul(a, b, limit):
+    """Oracle: the product of two coefficient lists, truncated after q^limit."""
+    out = [0] * (limit + 1)
+    for i, ai in enumerate(a[: limit + 1]):
+        for j, bj in enumerate(b[: limit + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+class TestSparsePower:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.dictionaries(st.integers(1, 45), st.integers(-9, 9), max_size=6),
+        a=st.integers(0, 6),
+        limit=st.integers(0, 40),
+    )
+    def test_matches_repeated_dense_multiplication(self, terms, a, limit):
+        g = [1] + [0] * max(terms, default=0)
+        for i, gi in terms.items():
+            g[i] = gi
+        oracle = [1] + [0] * limit
+        for _ in range(a):
+            oracle = dense_mul(oracle, g, limit)
+        assert _sparse_power(g, a, limit) == oracle
 
 
 def sieve(limit):
@@ -82,6 +119,13 @@ class TestCountBox:
     def test_big_integer_exactness(self):
         # 40 coordinates, full box: must equal 5^40 exactly
         assert count_box(40, 4, 160) == 5 ** 40
+
+    def test_large_n_against_inclusion_exclusion(self):
+        # Sizes far beyond the enumeration oracle, including d >= n * l.
+        for n in (400, 997, 1000):
+            for l in range(1, 5):
+                for d in (n // 3, n * l // 2, n * l - 1, n * l, n * l + 5):
+                    assert count_box(n, l, d) == inclusion_exclusion_box_count(n, l, d)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,6 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chromabound import (
     NoBoundError,
@@ -21,7 +19,6 @@ from chromabound import (
 )
 from chromabound.lattice_combinatorics import is_prime
 from chromabound.special_functions import jacobi_theta_and_tail
-from chromabound.lattice_theta import _sparse_power
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
@@ -57,32 +54,6 @@ def convolved_norm_counts(n, limit):
                     new[e + sq] += 2 * counts[e]
         counts = new
     return counts
-
-
-def dense_mul(a, b, limit):
-    """Oracle: the product of two coefficient lists, truncated after q^limit."""
-    out = [0] * (limit + 1)
-    for i, ai in enumerate(a[: limit + 1]):
-        for j, bj in enumerate(b[: limit + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-class TestSparsePower:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        terms=st.dictionaries(st.integers(1, 45), st.integers(-9, 9), max_size=6),
-        a=st.integers(0, 6),
-        limit=st.integers(0, 40),
-    )
-    def test_matches_repeated_dense_multiplication(self, terms, a, limit):
-        g = [1] + [0] * max(terms, default=0)
-        for i, gi in terms.items():
-            g[i] = gi
-        oracle = [1] + [0] * limit
-        for _ in range(a):
-            oracle = dense_mul(oracle, g, limit)
-        assert _sparse_power(g, a, limit) == oracle
 
 
 class TestDnTheta:

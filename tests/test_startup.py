@@ -53,7 +53,7 @@ def fresh(argv):
 
 
 BOUND_LAYERS = ["bound_engine", "optimize", "special_functions"]
-LATTICE_LAYERS = ["lattice_theta", "optimize", "special_functions"]
+LATTICE_LAYERS = ["lattice_combinatorics", "lattice_theta", "optimize", "special_functions"]
 
 
 @pytest.mark.parametrize(
