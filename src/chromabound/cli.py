@@ -9,8 +9,11 @@ Subcommands::
     chromabound verify --suite all        # invariant suites
 
 Output formats: plain (default), json, csv.  A key=value config file
-(``--config``) can preset ``tol``, ``K`` and ``format``; explicit flags
-win.
+(``--config``) can preset ``tol``, ``K`` and ``format``: it becomes
+click's ``default_map``, so a preset is converted and checked exactly
+like the flag it stands for, an error names that flag, and an explicit
+flag wins.  An empty value, an unknown key and a repeated key are usage
+errors.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors.
 
@@ -48,7 +51,12 @@ MAX_SERIES_K = 8192
 MAX_DN = 64
 
 
+# Config keys and the parameters they preset.
+_CONFIG_KEYS = {"tol": "tol", "K": "series_k", "format": "fmt"}
+
+
 def _load_config(path: Optional[str]) -> Dict[str, str]:
+    """Parameter name -> preset value string from a key=value file."""
     if path is None:
         return {}
     try:
@@ -56,49 +64,40 @@ def _load_config(path: Optional[str]) -> Dict[str, str]:
             text = handle.read()
     except UnicodeDecodeError:
         raise click.UsageError(f"{path}: not UTF-8 text")
-    settings: Dict[str, str] = {}
+    preset: Dict[str, str] = {}
     for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise click.UsageError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        settings[key.strip()] = value.strip()
-    return settings
+        key, value = (part.strip() for part in line.split("=", 1))
+        name = _CONFIG_KEYS.get(key)
+        if name is None:
+            raise click.UsageError(
+                f"{path}:{lineno}: unknown key {key!r}; use {', '.join(_CONFIG_KEYS)}"
+            )
+        if name in preset:
+            raise click.UsageError(f"{path}:{lineno}: repeated key {key!r}")
+        preset[name] = value
+    return preset
 
 
-def _resolve_tol(flag: Optional[float], cfg: Dict[str, str]) -> float:
-    if flag is not None:
-        tol = flag
-    elif "tol" in cfg:
-        try:
-            tol = float(cfg["tol"])
-        except ValueError:
-            raise click.UsageError(f"config tol is not a number: {cfg['tol']}")
-    else:
-        tol = _DEFAULT_TOL
+def _check_tol(ctx: click.Context, param: click.Parameter, tol: float) -> float:
     if not 0 < tol < math.inf:  # also rejects nan
-        raise click.UsageError("tol must be a positive finite number")
+        raise click.BadParameter("tol must be a positive finite number")
     return tol
 
 
-def _resolve_k(flag: Optional[int], cfg: Dict[str, str]) -> int:
-    if flag is not None:
-        return flag
-    if "K" in cfg:
-        try:
-            return int(cfg["K"])
-        except ValueError:
-            raise click.UsageError(f"config K is not an integer: {cfg['K']}")
-    return lattice_theta.DEFAULT_SERIES_LENGTH
-
-
-def _resolve_format(flag: Optional[str], cfg: Dict[str, str]) -> str:
-    fmt = flag or cfg.get("format") or "plain"
-    if fmt not in _FORMATS:
-        raise click.UsageError(f"unknown format {fmt!r}; choose from {_FORMATS}")
-    return fmt
+def _result_options(command):
+    """--tol, --format and --output, shared by every command that prints a result."""
+    command = click.option("--output", type=click.Path(dir_okay=False), default=None)(command)
+    command = click.option(
+        "--format", "fmt", type=click.Choice(_FORMATS), default="plain"
+    )(command)
+    return click.option(
+        "--tol", type=float, default=_DEFAULT_TOL, callback=_check_tol, help="Solver tolerance."
+    )(command)
 
 
 def _render_records(
@@ -170,18 +169,14 @@ def _deliver(text: str, output: Optional[str]) -> None:
 @click.pass_context
 def cli(ctx: click.Context, config: Optional[str]) -> None:
     """Bounds and verification oracles for multi-distance chromatic numbers."""
-    ctx.obj = _load_config(config)
+    preset = _load_config(config)
+    ctx.default_map = {name: preset for name in cli.commands}
 
 
 @cli.command()
-@click.option("--tol", type=float, default=None, help="Solver tolerance.")
-@click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
-def constants(cfg: Dict[str, str], tol: Optional[float], fmt: Optional[str], output: Optional[str]) -> None:
+@_result_options
+def constants(tol: float, fmt: str, output: Optional[str]) -> None:
     """Base constant with its maximizer, plus reference constants."""
-    tol = _resolve_tol(tol, cfg)
-    fmt = _resolve_format(fmt, cfg)
     gc = special_functions.gamma_chi(tol)
     record = {
         "gamma_chi": gc.value,
@@ -200,21 +195,9 @@ def constants(cfg: Dict[str, str], tol: Optional[float], fmt: Optional[str], out
     help="Number of forbidden distances.",
 )
 @click.option("--k", "k", type=click.IntRange(1, MAX_M), required=True, help="Clique parameter.")
-@click.option("--tol", type=float, default=None)
-@click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
-def bound(
-    cfg: Dict[str, str],
-    m: int,
-    k: int,
-    tol: Optional[float],
-    fmt: Optional[str],
-    output: Optional[str],
-) -> None:
+@_result_options
+def bound(m: int, k: int, tol: float, fmt: str, output: Optional[str]) -> None:
     """Lower bound for one (m, k) cell."""
-    tol = _resolve_tol(tol, cfg)
-    fmt = _resolve_format(fmt, cfg)
     result = bound_engine.chromatic_lower_bound(bound_engine.BoundQuery(m=m, k=k), tol)
     record = result.to_dict()
     if result.warning:
@@ -228,21 +211,9 @@ def bound(
 @cli.command(name="table")
 @click.option("--m-max", type=click.IntRange(1, MAX_TABLE_M), required=True)
 @click.option("--k-max", type=click.IntRange(1, MAX_TABLE_K), required=True)
-@click.option("--tol", type=float, default=None)
-@click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
-def table_cmd(
-    cfg: Dict[str, str],
-    m_max: int,
-    k_max: int,
-    tol: Optional[float],
-    fmt: Optional[str],
-    output: Optional[str],
-) -> None:
+@_result_options
+def table_cmd(m_max: int, k_max: int, tol: float, fmt: str, output: Optional[str]) -> None:
     """Full lower-bound grid, m ascending then k ascending."""
-    tol = _resolve_tol(tol, cfg)
-    fmt = _resolve_format(fmt, cfg)
     results = bound_engine.table(m_max, k_max, tol)
     records = [r.to_dict() for r in results]
     if fmt == "plain":
@@ -276,35 +247,23 @@ def _mu_for_label(label: str, K: int, tol: float) -> lattice_theta.MuResult:
     "--lattice", "label", required=True, help=f"zn, dn:<n> with n <= {MAX_DN}, e8 or leech."
 )
 @click.option(
-    "--K", "series_k", type=int, default=None,
-    help=f"Series truncation index, {_MIN_SERIES_K} to {MAX_SERIES_K}.",
+    "--K", "series_k", type=click.IntRange(_MIN_SERIES_K, MAX_SERIES_K),
+    # Called only when the option is processed, so that importing this
+    # module and --help leave lattice_theta (and numpy) unloaded.
+    default=lambda: lattice_theta.DEFAULT_SERIES_LENGTH,
+    help="Series truncation index.",
 )
-@click.option("--tol", type=float, default=None)
-@click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
-def lattice_mu(
-    cfg: Dict[str, str],
-    label: str,
-    series_k: Optional[int],
-    tol: Optional[float],
-    fmt: Optional[str],
-    output: Optional[str],
-) -> None:
+@_result_options
+def lattice_mu(label: str, series_k: int, tol: float, fmt: str, output: Optional[str]) -> None:
     """Double-cap quantity mu for a named lattice."""
-    tol = _resolve_tol(tol, cfg)
-    fmt = _resolve_format(fmt, cfg)
-    K = _resolve_k(series_k, cfg)
-    if not _MIN_SERIES_K <= K <= MAX_SERIES_K:
-        raise click.UsageError(f"K must lie in [{_MIN_SERIES_K}, {MAX_SERIES_K}]")
     try:
-        result = _mu_for_label(label, K, tol)
+        result = _mu_for_label(label, series_k, tol)
     except (lattice_theta.TailBoundError, lattice_theta.NoBoundError) as exc:
         raise click.ClickException(str(exc))
     record = {
         "lattice": result.lattice_label,
         "dim": result.dim,
-        "K": K,
+        "K": series_k,
         "t_star": result.t_star,
         "mu": result.mu,
         "max_value": result.max_value,

@@ -84,14 +84,18 @@ def gf_upper_bound(n: int, l: int, d: int, t: float) -> float:
 
     Every box vector with coordinate sum <= d contributes a nonnegative
     power of 1/t to the expansion, so this dominates count_box(n, l, d)
-    at every t.
+    at every t.  Evaluated in log space; a bound past the float range is
+    returned as ``math.inf``, which still dominates.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
     if n < 1 or l < 0 or d < 0:
         raise ValueError("need n >= 1, l >= 0, d >= 0")
     base = sum(t ** i for i in range(l + 1))
-    return base ** n / t ** d
+    try:
+        return math.exp(n * math.log(base) - d * math.log(t))
+    except OverflowError:
+        return math.inf
 
 
 def _pairing_order(counts: Sequence[int]) -> List[int]:

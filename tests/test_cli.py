@@ -309,6 +309,59 @@ class TestConfigFile:
         assert overridden.exit_code == 0
         assert overridden.stdout.splitlines()[0].startswith("gamma_chi")
 
+    def test_k_preset_reaches_lattice_mu(self, runner, tmp_path):
+        config = tmp_path / "settings.cfg"
+        config.write_text("K = 64\nformat = json\n")
+        result = runner.invoke(cli, ["--config", str(config), "lattice-mu", "--lattice", "dn:8"])
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        assert doc["K"] == 64
+        assert doc["mu"] == pytest.approx(0.963279, abs=1e-5)
+
+    def test_flag_beats_preset_for_k_and_tol(self, runner, tmp_path):
+        config = tmp_path / "settings.cfg"
+        config.write_text("K = 64\ntol = 1e-8\nformat = json\n")
+        result = runner.invoke(
+            cli,
+            ["--config", str(config), "lattice-mu", "--lattice", "dn:8", "--K", "128", "--tol", "1e-10"],
+        )
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        assert (doc["K"], doc["tol"]) == (128, 1e-10)
+
+    @pytest.mark.parametrize(
+        "line, flag",
+        [
+            ("K = 8", "--K"),
+            ("K = 9000", "--K"),
+            ("K = abc", "--K"),
+            ("tol = abc", "--tol"),
+            ("format = xml", "--format"),
+            ("format =", "--format"),
+        ],
+    )
+    def test_rejected_preset_names_its_flag(self, runner, tmp_path, line, flag):
+        config = tmp_path / "settings.cfg"
+        config.write_text(line + "\n")
+        result = runner.invoke(cli, ["--config", str(config), "lattice-mu", "--lattice", "e8"])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{flag}'" in result.output
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("format = json\ntol1 = 1e-12\n", "2: unknown key 'tol1'"),
+            ("tol = 1e-8\n# tighter\ntol = 1e-12\n", "3: repeated key 'tol'"),
+        ],
+        ids=["unknown", "repeated"],
+    )
+    def test_key_typo_is_usage_error(self, runner, tmp_path, text, error):
+        config = tmp_path / "settings.cfg"
+        config.write_text(text)
+        result = runner.invoke(cli, ["--config", str(config), "constants"])
+        assert result.exit_code == 2
+        assert f"Error: {config}:{error}" in result.output
+
     def test_malformed_config(self, runner, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("just a line without equals\n")

@@ -160,6 +160,14 @@ class TestGfUpperBound:
                 best = min(gf_upper_bound(n, l, d, t) for t in ts)
                 assert count_box(n, l, d) <= best <= count_box(n, l, d) * n ** l
 
+    @pytest.mark.parametrize("t", [0.9, 0.5])
+    def test_past_float_range_is_infinite(self, t):
+        # At t = 0.9, base ** n alone exceeds a float; at t = 0.5, t ** d
+        # alone underflows to 0.  count_box(1000, 4, 2000) is about 10^698.
+        bound = gf_upper_bound(1000, 4, 2000, t)
+        assert bound == math.inf
+        assert count_box(1000, 4, 2000) <= bound
+
     def test_domain(self):
         with pytest.raises(ValueError):
             gf_upper_bound(2, 1, 1, 0.0)

@@ -60,13 +60,15 @@ LATTICE_LAYERS = ["lattice_combinatorics", "lattice_theta", "optimize", "special
     "argv, executed",
     [
         (["--version"], []),
+        (["bound", "--help"], []),
+        (["lattice-mu", "--help"], []),
         (["bound", "--m", "1", "--k", "1"], BOUND_LAYERS),
         (["table", "--m-max", "2", "--k-max", "2"], BOUND_LAYERS),
         (["lattice-mu", "--lattice", "zn"], LATTICE_LAYERS),
         (["constants"], sorted(set(BOUND_LAYERS) | set(LATTICE_LAYERS))),
         (["verify", "--suite", "all"], sorted(n for n in LAYERS if n != "lattice_theta")),
     ],
-    ids=["version", "bound", "table", "lattice-mu", "constants", "verify"],
+    ids=["version", "bound-help", "lattice-mu-help", "bound", "table", "lattice-mu", "constants", "verify"],
 )
 def test_command_executes_only_its_layers(argv, executed):
     found = fresh(argv)
