@@ -36,7 +36,6 @@ _EXPORTS = {
         "multinomial",
         "multinomial_lemma_check",
         "next_prime",
-        "prime_gap_report",
         "profile_diameter",
         "profile_diameter_bruteforce",
     ),
@@ -70,16 +69,13 @@ _EXPORTS = {
         "DiameterError",
         "NonPrimeModulusError",
         "OddSquaredDistanceError",
-        "Permutation",
         "PointConfig",
         "SetPartition",
         "clique_bound_check",
         "distinctness_indicator",
         "forbidden_distance_product",
-        "is_k_cycle",
         "partition_coefficients",
         "simplex_indicator",
-        "symmetric_group",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

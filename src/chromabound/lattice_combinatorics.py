@@ -10,7 +10,7 @@ It also holds the package's one exact polynomial-power kernel,
 ``lattice_theta`` raises the D_n and tau series with it.
 
 Everything here is exact integer arithmetic except where a float is the
-honest answer (the generating-function bound and the prime-gap excess).
+honest answer (the generating-function bound).
 """
 
 from __future__ import annotations
@@ -287,14 +287,3 @@ def next_prime(x: int) -> int:
         candidate += 2
     return candidate
 
-
-def prime_gap_report(d_max: int, m: int) -> Tuple[int, float]:
-    """Smallest prime above d_max / (m + 1) and its excess over the threshold.
-
-    Diagnostic only; the excess is what prime gaps contribute to the
-    finite-dimension correction and is reported without any constant.
-    """
-    if d_max < 1 or m < 1:
-        raise ValueError("d_max and m must be positive integers")
-    p = next_prime(d_max // (m + 1))
-    return p, p - d_max / (m + 1)

@@ -87,10 +87,6 @@ class ThetaSeries:
         if any(c < 0 for c in self.coeffs):
             raise ValueError("coefficients must be nonnegative")
 
-    @property
-    def truncation_index(self) -> int:
-        return len(self.coeffs) - 1
-
     @cached_property
     def _float_coeffs_high_first(self) -> Tuple[float, ...]:
         return tuple(float(c) for c in reversed(self.coeffs))

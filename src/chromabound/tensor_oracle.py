@@ -2,17 +2,20 @@
 
 The distinctness indicator sums sgn(sigma) over permutations that are
 not full cycles, evaluated on tuples via their coincidence pattern: it
-is 1 on fully distinct tuples, 0 on partial coincidences, and has
-magnitude (k-1)! on constant tuples (empirical sign (-1)^k).  Combined
+is 1 on fully distinct tuples, 0 on partial coincidences, and
+(-1)^k (k-1)! on constant tuples.  The last value is proven: a constant
+tuple is fixed by every permutation, so the indicator is the sign sum
+over S_k, which is 0 for k >= 2, minus the sign sum over the (k-1)!
+k-cycles, each of sign (-1)^(k-1).  Combined
 with the product over pairs of 1 - (|x_i - x_j|^2 / 2)^(p-1) over F_p it
 indicates tuples that form a simplex with all pairwise distances in
 sqrt(2p) * {1, sqrt(2), ..., sqrt(m)}.
 
 Everything here favors exhaustive enumeration over cleverness; these
 are correctness oracles with deliberately small domains, not production
-paths.  The distinctness indicator depends on a tuple only through its
-coincidence pattern, so its sum over S_k is still exhaustive, but runs
-once per pattern and is cached.
+paths.  S_k is enumerated in one place, the cached signed list of its
+non-k-cycles; the indicator sums it once per coincidence pattern, and
+its partition expansion groups it by cycle partition.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .lattice_combinatorics import count_box, is_prime, next_prime
 
@@ -38,46 +41,19 @@ class DiameterError(ValueError):
 
 
 def _cycles(image: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    # Cycles of the permutation i -> image[i - 1] of {1, ..., k}, each led
-    # by its smallest element, ordered by that element.
+    # Cycles of the permutation i -> image[i] of {0, ..., k-1}.
     seen = [False] * len(image)
     out: List[Tuple[int, ...]] = []
-    for start in range(1, len(image) + 1):
-        if seen[start - 1]:
-            continue
-        cycle = [start]
-        seen[start - 1] = True
-        nxt = image[start - 1]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt - 1] = True
-            nxt = image[nxt - 1]
-        out.append(tuple(cycle))
+    for start in range(len(image)):
+        cycle = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = image[i]
+        if cycle:
+            out.append(tuple(cycle))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1, ..., k} given by its image tuple."""
-
-    image: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        k = len(self.image)
-        if sorted(self.image) != list(range(1, k + 1)):
-            raise ValueError("image must be a bijection of {1, ..., k}")
-
-    def __call__(self, i: int) -> int:
-        return self.image[i - 1]
-
-    def cycles(self) -> Tuple[Tuple[int, ...], ...]:
-        """Cycle decomposition, each cycle led by its smallest element."""
-        return _cycles(self.image)
-
-    @property
-    def sign(self) -> int:
-        swaps = sum(len(c) - 1 for c in self.cycles())
-        return -1 if swaps % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -99,38 +75,18 @@ class SetPartition:
         return cls(frozenset(frozenset(b) for b in blocks))
 
     @property
-    def ground_size(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
     def is_trivial(self) -> bool:
         return len(self.blocks) == 1
 
 
-def symmetric_group(k: int) -> Iterator[Permutation]:
-    """All permutations of {1, ..., k}."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    for image in itertools.permutations(range(1, k + 1)):
-        yield Permutation(image)
-
-
-def is_k_cycle(sigma: Permutation) -> bool:
-    """True iff the permutation is a single cycle through all k points."""
-    cycles = sigma.cycles()
-    return len(cycles) == 1 and len(cycles[0]) == len(sigma.image)
-
-
 @lru_cache(maxsize=None)
 def _non_cycle_terms(k: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    # (sign, 0-based image) for every non-k-cycle of S_k.
+    # (sign, image) for every non-k-cycle of S_k acting on {0, ..., k-1}.
     out = []
-    for image in itertools.permutations(range(1, k + 1)):
-        cycles = _cycles(image)
-        if len(cycles) == 1:
-            continue
-        sign = -1 if (k - len(cycles)) % 2 else 1
-        out.append((sign, tuple(i - 1 for i in image)))
+    for image in itertools.permutations(range(k)):
+        n_cycles = len(_cycles(image))
+        if n_cycles > 1:
+            out.append((-1 if (k - n_cycles) % 2 else 1, image))
     return tuple(out)
 
 
@@ -168,18 +124,17 @@ def distinctness_indicator(labels: Sequence) -> int:
 def partition_coefficients(k: int) -> Dict[SetPartition, int]:
     """Coefficients c_P with  indicator = sum_P c_P prod_{B in P} [equal on B].
 
-    Groups the non-full-cycle permutations of S_k by their cycle
-    partition and sums signs.  Only nontrivial partitions (two or more
-    blocks) appear; every returned coefficient is nonzero.
+    Groups the signed non-full-cycle permutations of S_k, the terms of
+    the indicator, by their cycle partition and sums signs.  Only
+    nontrivial partitions (two or more blocks) appear; every returned
+    coefficient is nonzero.
     """
     if not 2 <= k <= 7:
         raise ValueError("k must be between 2 and 7")
     out: Dict[SetPartition, int] = {}
-    for sigma in symmetric_group(k):
-        if is_k_cycle(sigma):
-            continue
-        part = SetPartition.of(sigma.cycles())
-        out[part] = out.get(part, 0) + sigma.sign
+    for sign, image in _non_cycle_terms(k):
+        part = SetPartition.of({i + 1 for i in c} for c in _cycles(image))
+        out[part] = out.get(part, 0) + sign
     return {p: c for p, c in out.items() if c != 0}
 
 
@@ -216,20 +171,16 @@ class PointConfig:
         return sum((x - y) ** 2 for x, y in zip(a, b)) // 2
 
 
-def forbidden_distance_product(
-    cfg: PointConfig, indices: Optional[Sequence[int]] = None
-) -> int:
+def forbidden_distance_product(cfg: PointConfig) -> int:
     """Product over pairs of  1 - (half squared distance)^(p-1)  mod p.
 
     Equals 1 exactly when every pairwise half squared distance is 0 mod p,
     which under the diameter window means each distance is 0 or lies in
     sqrt(2p) * {1, ..., sqrt(m)}; any other pair kills the product.
     """
-    if indices is None:
-        indices = range(len(cfg.points))
     window = (cfg.m + 1) * cfg.p
     result = 1
-    for i, j in itertools.combinations(indices, 2):
+    for i, j in itertools.combinations(range(len(cfg.points)), 2):
         h = cfg.half_squared_distance(i, j)
         if h >= window:
             raise DiameterError(
@@ -338,6 +289,12 @@ def clique_bound_check(
         raise ValueError("need n >= 1, l >= 0, m >= 1, k >= 1")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
+    # Either parity class holds at least floor((l+1)^n / 2) points, so one
+    # of at most 24 needs (l+1)^n <= 49.  Past n = 6 the box exceeds 49
+    # points whenever l >= 1, so the exponent is capped and a huge n is
+    # rejected without being enumerated.
+    if (l + 1) ** min(n, 6) > 49:
+        raise ValueError(f"each parity class of {{0, ..., {l}}}^{n} exceeds 24 points")
     ground = [
         v
         for v in itertools.product(range(l + 1), repeat=n)
@@ -348,21 +305,20 @@ def clique_bound_check(
     if not ground:
         raise ValueError("empty ground set for this parity")
 
-    d_max = 0
-    for a, b in itertools.combinations(ground, 2):
-        h = sum((x - y) ** 2 for x, y in zip(a, b)) // 2
-        if h > d_max:
-            d_max = h
+    # Half squared distances of the pairs in combinations order.
+    half = [
+        sum((x - y) ** 2 for x, y in zip(a, b)) // 2
+        for a, b in itertools.combinations(ground, 2)
+    ]
+    d_max = max(half, default=0)
     p = next_prime(d_max // (m + 1))
     forbidden = {p * j for j in range(1, m + 1)}
 
     size = len(ground)
     adjacency = [[False] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            h = sum((x - y) ** 2 for x, y in zip(ground[i], ground[j])) // 2
-            if h in forbidden:
-                adjacency[i][j] = adjacency[j][i] = True
+    for (i, j), h in zip(itertools.combinations(range(size), 2), half):
+        if h in forbidden:
+            adjacency[i][j] = adjacency[j][i] = True
 
     chosen = _largest_clique_free_subset(adjacency, k + 1, subset_budget)
     rank_bound = (2 ** (k + 1)) * count_box(n, l, k * (p - 1))

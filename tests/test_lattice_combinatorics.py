@@ -15,7 +15,6 @@ from chromabound import (
     multinomial,
     multinomial_lemma_check,
     next_prime,
-    prime_gap_report,
     profile_diameter,
     profile_diameter_bruteforce,
 )
@@ -327,20 +326,3 @@ class TestPrimes:
     def test_range_check(self):
         with pytest.raises(ValueError):
             next_prime(2 ** 63)
-
-
-class TestPrimeGapReport:
-    def test_example_one(self):
-        assert prime_gap_report(20, 1) == (11, 1.0)
-
-    def test_example_two(self):
-        assert prime_gap_report(21, 2) == (11, 4.0)
-
-    def test_excess_is_nonnegative(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            d_max = rng.randint(1, 10_000)
-            m = rng.randint(1, 6)
-            p, eps = prime_gap_report(d_max, m)
-            assert eps >= 0.0
-            assert p > d_max / (m + 1)

@@ -110,7 +110,7 @@ class TestE8Series:
     def test_metadata(self):
         series = e8_series(16)
         assert series.dim == 8
-        assert series.truncation_index == 16
+        assert len(series.coeffs) == 17
         assert series.coeffs[0] == 1
 
 

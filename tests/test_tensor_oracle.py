@@ -8,18 +8,15 @@ from chromabound import (
     DiameterError,
     NonPrimeModulusError,
     OddSquaredDistanceError,
-    Permutation,
     PointConfig,
     SetPartition,
     clique_bound_check,
     count_box,
     distinctness_indicator,
     forbidden_distance_product,
-    is_k_cycle,
     next_prime,
     partition_coefficients,
     simplex_indicator,
-    symmetric_group,
 )
 
 
@@ -49,33 +46,30 @@ def brute_indicator(labels):
     return total
 
 
+def brute_partition_coefficients(k):
+    """Oracle: group the non-k-cycles of S_k by cycle partition, with the
+    sign from the inversion count."""
+    out = {}
+    for image in itertools.permutations(range(k)):
+        seen, blocks = set(), []
+        for start in range(k):
+            block, node = set(), start
+            while node not in seen:
+                seen.add(node)
+                block.add(node + 1)
+                node = image[node]
+            if block:
+                blocks.append(frozenset(block))
+        if len(blocks) == 1:
+            continue
+        inversions = sum(image[i] > image[j] for i, j in itertools.combinations(range(k), 2))
+        key = frozenset(blocks)
+        out[key] = out.get(key, 0) + (-1) ** inversions
+    return {blocks: c for blocks, c in out.items() if c}
+
+
 def half_dist(a, b):
     return sum((x - y) ** 2 for x, y in zip(a, b)) // 2
-
-
-class TestPermutation:
-    def test_identity_is_not_full_cycle(self):
-        assert not is_k_cycle(Permutation((1, 2, 3)))
-
-    def test_three_cycle(self):
-        assert is_k_cycle(Permutation((2, 3, 1)))
-
-    def test_transposition_in_s3(self):
-        assert not is_k_cycle(Permutation((2, 1, 3)))
-
-    def test_sign(self):
-        assert Permutation((2, 1, 3)).sign == -1
-        assert Permutation((2, 3, 1)).sign == 1
-
-    def test_cycles(self):
-        assert Permutation((2, 1, 3)).cycles() == ((1, 2), (3,))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 1, 3))
-
-    def test_group_size(self):
-        assert sum(1 for _ in symmetric_group(5)) == 120
 
 
 class TestDistinctnessIndicator:
@@ -146,6 +140,19 @@ class TestPartitionCoefficients:
     def test_trivial_partition_absent(self, k):
         assert not any(p.is_trivial for p in partition_coefficients(k))
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_against_inversion_count_oracle(self, k):
+        coeffs = partition_coefficients(k)
+        assert {p.blocks: c for p, c in coeffs.items()} == brute_partition_coefficients(k)
+
+    @pytest.mark.parametrize("k", list(range(2, 8)))
+    def test_singletons_and_constant_tuple_sum(self, k):
+        # On a constant tuple every block is equal, so the coefficients sum
+        # to the indicator's diagonal value.
+        coeffs = partition_coefficients(k)
+        assert coeffs[SetPartition.of([{i} for i in range(1, k + 1)])] == 1
+        assert sum(coeffs.values()) == (-1) ** k * math.factorial(k - 1)
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_pointwise_reconstruction(self, k):
         coeffs = partition_coefficients(k)
@@ -191,11 +198,6 @@ class TestForbiddenDistanceProduct:
         cfg = PointConfig(((0, 0), (6, 0)), p=3, m=1)
         with pytest.raises(DiameterError):
             forbidden_distance_product(cfg)
-
-    def test_subset_indices(self):
-        cfg = PointConfig(((0, 0), (3, 1), (1, 1)), p=5, m=1)
-        assert forbidden_distance_product(cfg, (0, 1)) == 1
-        assert forbidden_distance_product(cfg, (0, 2)) == 0
 
 
 class TestSimplexIndicator:
@@ -303,6 +305,27 @@ class TestCliqueBoundCheck:
             )
             assert report.holds
             done += 1
+
+    def test_oversized_box_rejected_before_enumeration(self, monkeypatch):
+        def no_product(*args, **kwargs):
+            raise AssertionError("the box was enumerated")
+
+        monkeypatch.setattr(itertools, "product", no_product)
+        with pytest.raises(ValueError, match="exceeds 24"):
+            clique_bound_check(40, 1, 1, 1)
+
+    @pytest.mark.parametrize("n, l", [(3, 2), (5, 1), (2, 6), (1, 48)])
+    def test_box_of_at_most_49_points_is_enumerated(self, n, l):
+        # The early cap lets every box whose smaller class fits through.
+        report = clique_bound_check(n, l, 1, 1, parity=1)
+        assert report.ground_size == ((l + 1) ** n) // 2
+
+    @pytest.mark.parametrize("n, l, parity", [(6, 1, 1), (2, 7, 1), (1, 49, 1), (2, 6, 0)])
+    def test_class_above_24_points_rejected(self, n, l, parity):
+        # (2, 6, 0) is the 25-point even class of a 49-point box, caught by
+        # the exact count after enumeration.
+        with pytest.raises(ValueError, match="exceeds 24"):
+            clique_bound_check(n, l, 1, 1, parity=parity)
 
     def test_budget(self):
         with pytest.raises(RuntimeError):
