@@ -230,8 +230,13 @@ def _mu_for_label(label: str, K: int, tol: float) -> lattice_theta.MuResult:
     if label == "leech":
         return lattice_theta.mu_lattice(lattice_theta.leech_series(K), tol)
     if label.startswith("dn:"):
+        digits = label[len("dn:"):]
         try:
-            n = int(label.split(":", 1)[1])
+            # int() alone would also take a sign, spaces, underscores and
+            # non-ASCII digits; it raises past 4300 digits.
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(digits)
+            n = int(digits)
         except ValueError:
             raise click.UsageError(f"bad lattice label {label!r}")
         if not 1 <= n <= MAX_DN:

@@ -11,9 +11,39 @@ import pytest
 from click.testing import CliRunner
 
 import chromabound.cli as cli_module
-from chromabound import BoundQuery, bound_engine, chromatic_lower_bound, dn_series, e8_series, lattice_theta, table
+from chromabound import (
+    _SUITES,
+    BoundQuery,
+    bound_engine,
+    chromatic_lower_bound,
+    dn_series,
+    e8_series,
+    lattice_combinatorics,
+    lattice_theta,
+    special_functions,
+    table,
+    tensor_oracle,
+    verify,
+)
 from chromabound.cli import MAX_DN, MAX_M, MAX_SERIES_K, MAX_TABLE_K, MAX_TABLE_M, cli
-from chromabound.verify import bounds_checks, theta_checks
+
+REGISTERED = [(suite, check) for suite, checks in verify.CHECKS.items() for check in checks]
+
+# The five nested sweeps: (suite, check, layer, function, a wrong stand-in
+# for it, the first case of the check's loop nest).
+BROKEN_SWEEPS = [
+    ("combinatorics", "count_box_complement", lattice_combinatorics, "count_box", lambda n, l, d: 0, "n=1 l=1 d=0"),
+    (
+        "combinatorics", "gf_bound_dominates_count", lattice_combinatorics, "gf_upper_bound",
+        lambda n, l, d, t: -1.0, "n=1 l=0 d=0: 1 > -1.0",
+    ),
+    ("tensor", "indicator_three_valued", tensor_oracle, "distinctness_indicator", lambda labels: 7, "k=2 labels=(0, 0): 7"),
+    ("tensor", "partition_reconstruction", tensor_oracle, "distinctness_indicator", lambda labels: 7, "k=2 labels=(0, 0)"),
+    (
+        "theta", "truncation_monotone_below_full", special_functions, "theta_truncated",
+        lambda t, gamma, l: -1.0, "t=0.1 gamma=0.2 l=1",
+    ),
+]
 
 
 @pytest.fixture
@@ -202,8 +232,11 @@ class TestLatticeMu:
         assert "mu = 1 gives no bound" in result.output
 
     def test_unknown_label(self, runner):
-        result = runner.invoke(cli, ["lattice-mu", "--lattice", "fcc"])
-        assert result.exit_code == 2
+        # int() alone would take each dn: suffix here but the last, which
+        # passes its 4300-digit limit.
+        for label in ("fcc", "dn:+8", "dn: 8", "dn:0_8", "dn:\u0668", "dn:8 ", "dn:" + "9" * 5000):
+            result = runner.invoke(cli, ["lattice-mu", "--lattice", label])
+            assert result.exit_code == 2, label
 
     def test_k_floor(self, runner):
         result = runner.invoke(cli, ["lattice-mu", "--lattice", "e8", "--K", "8"])
@@ -263,18 +296,43 @@ class TestVerify:
         assert "ok   theta.functional_equation_residual" in result.stdout
 
     def test_theta_checks_name_worst_point(self):
-        details = {c.name: c.detail for c in theta_checks()}
+        details = {c.name: c.detail for c in verify.SUITES["theta"]()}
         for name in ("theta3_dominates_theta4", "theta4_alternating_bracket"):
             assert " at q = " in details[name]
 
     def test_floor_checks_report_worst_gamma_and_margin(self):
-        checks = {f"{c.suite}.{c.name}": c for c in theta_checks() + bounds_checks()}
+        checks = {f"{c.suite}.{c.name}": c for c in verify.SUITES["theta"]() + verify.SUITES["bounds"]()}
         for name in ("theta.one_minus_t_theta_max_floor", "bounds.best_l_dominates_closed_forms"):
             check = checks[name]
             assert check.passed
             margin, at = check.detail.removeprefix("min margin ").split(" ", 1)
             assert float(margin) >= -1e-9
             assert at.startswith("at gamma = ")
+
+    @pytest.mark.parametrize(
+        "suite, check", REGISTERED, ids=[f"{suite}.{check.__name__}" for suite, check in REGISTERED]
+    )
+    def test_registered_check_passes(self, suite, check):
+        result = verify.run_check(suite, check)
+        assert result.passed, result.detail
+
+    def test_registry_shape(self):
+        assert tuple(verify.CHECKS) == tuple(verify.SUITES) == _SUITES
+        names = [check.__name__ for _, check in REGISTERED]
+        assert len(names) == 21
+        assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize(
+        "suite, check, layer, name, wrong, first", BROKEN_SWEEPS, ids=[f"{c[0]}.{c[1]}" for c in BROKEN_SWEEPS]
+    )
+    def test_failing_sweep_names_its_first_counterexample(
+        self, monkeypatch, suite, check, layer, name, wrong, first
+    ):
+        # The checked function is wrong everywhere, so the first case of
+        # the loop nest is the first counterexample.
+        monkeypatch.setattr(layer, name, wrong)
+        result = verify.run_check(suite, getattr(verify, check))
+        assert result == verify.CheckResult(suite, check, False, first)
 
     def test_plain_output_lists_every_check_once(self, runner):
         result = runner.invoke(cli, ["verify", "--suite", "all"])
