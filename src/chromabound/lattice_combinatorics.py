@@ -144,23 +144,16 @@ def multinomial(n: int, counts: Sequence[int]) -> int:
     return out
 
 
-def _arrangements(counts: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    # Distinct arrangements of the multiset {i with multiplicity counts[i]},
-    # in lexicographic order, by the next-permutation step.
-    a = [sym for sym, c in enumerate(counts) for _ in range(c)]
-    n = len(a)
-    while True:
-        yield tuple(a)
-        i = n - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
+def _compositions(n: int, caps: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    # Compositions of n into len(caps) parts with 0 <= part i <= caps[i],
+    # in lexicographic order.
+    if len(caps) == 1:
+        if n <= caps[0]:
+            yield (n,)
+        return
+    for first in range(min(n, caps[0]) + 1):
+        for rest in _compositions(n - first, caps[1:]):
+            yield (first,) + rest
 
 
 def profile_diameter_bruteforce(
@@ -169,21 +162,34 @@ def profile_diameter_bruteforce(
     """Exhaustive maximum of half the squared distance over arrangement pairs.
 
     Coordinate permutations are isometries that preserve the arrangement
-    class, so one endpoint can be pinned to the sorted arrangement and
-    only the other enumerated.
+    class, so one endpoint x can be pinned to the sorted arrangement.
+    Another arrangement y of the class gives the contingency table
+    T[a][b] = #{i : x_i = a, y_i = b}, whose row and column sums are
+    both the counts, and |x - y|^2 = sum_{a,b} T[a][b] (a - b)^2.
+    Conversely every nonnegative integer table with these margins comes
+    from some y: fill the positions where x holds a with T[a][b] copies
+    of each b.  So the maximum over the tables, searched exhaustively
+    row by row, is the maximum over the arrangements; there are far
+    fewer tables than arrangements.  ``budget`` caps the number of
+    arrangements, multinomial(n; counts).
     """
-    total = multinomial(profile.n, profile.counts)
+    counts = profile.counts
+    total = multinomial(profile.n, counts)
     if total > budget:
         raise ValueError(f"{total} arrangements exceed the budget of {budget}")
-    base: List[int] = []
-    for sym, c in enumerate(profile.counts):
-        base.extend([sym] * c)
-    best = 0
-    for other in _arrangements(profile.counts):
-        s = sum((x - y) * (x - y) for x, y in zip(base, other))
-        if s > best:
-            best = s
-    return best // 2
+
+    def widest(a: int, columns: Tuple[int, ...]) -> int:
+        # Largest sum of T[r][b] (r - b)^2 over rows r >= a, given the
+        # column sums the rows before a left over.
+        if a == len(counts):
+            return 0
+        return max(
+            sum(t * (a - b) * (a - b) for b, t in enumerate(row))
+            + widest(a + 1, tuple(c - t for c, t in zip(columns, row)))
+            for row in _compositions(counts[a], columns)
+        )
+
+    return widest(0, counts) // 2
 
 
 def alternating_square_identity(j: int) -> Tuple[int, int]:
@@ -193,15 +199,6 @@ def alternating_square_identity(j: int) -> Tuple[int, int]:
     lhs = sum((j - i) * (j - i) * (-1) ** i for i in range(j + 1))
     rhs = (j + 1) * j // 2
     return lhs, rhs
-
-
-def _compositions(n: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
 
 
 def multinomial_lemma_check(
@@ -229,7 +226,7 @@ def multinomial_lemma_check(
     if total > budget:
         raise ValueError(f"{total} compositions exceed the budget of {budget}")
     lhs_max = 0.0
-    for a in _compositions(n, l + 1):
+    for a in _compositions(n, (n,) * (l + 1)):
         ok = True
         for i in range(l + 1):
             for j in range(l + 1):

@@ -70,13 +70,19 @@ def check_unit_interval(t: ArrayLike, hi_open: bool, name: str = "t") -> ArrayLi
 
     A 0-d argument comes back as a Python float and anything else as a
     float ndarray, so one evaluator body runs Python arithmetic on the
-    first and numpy arithmetic on the second.
+    first and numpy arithmetic on the second.  NaN lies in neither
+    interval.  A Python float is checked by plain comparisons, without
+    the numpy round trip.
     """
-    arr = np.asarray(t, dtype=float)
-    if arr.ndim == 0:
-        arr = float(arr)
-    bad = (arr < 0.0) | (arr >= 1.0 if hi_open else arr > 1.0)
-    if _any(bad):
+    if type(t) is float:
+        arr = t
+        ok = 0.0 <= t and (t < 1.0 if hi_open else t <= 1.0)
+    else:
+        arr = np.asarray(t, dtype=float)
+        if arr.ndim == 0:
+            arr = float(arr)
+        ok = (arr >= 0.0) & (arr < 1.0 if hi_open else arr <= 1.0)
+    if not _all(ok):
         rng = "[0, 1)" if hi_open else "[0, 1]"
         raise ValueError(f"{name} must lie in {rng}")
     return arr
@@ -89,10 +95,6 @@ def full_like(t: ArrayLike, value: float) -> ArrayLike:
 
 # A float argument gives plain bools, which skip the microsecond cost of
 # a numpy reduction inside per-term loops.
-def _any(mask) -> bool:
-    return mask if isinstance(mask, bool) else bool(mask.any())
-
-
 def _all(mask) -> bool:
     return mask if isinstance(mask, bool) else bool(mask.all())
 
@@ -161,9 +163,9 @@ def jacobi_theta_and_tail(kind: int, q: ArrayLike) -> Tuple[ArrayLike, ArrayLike
     Summation stops once a term drops below 1e-18 of the partial sum.
     Returns ``(value, tail)``: term ratios past the stop are below q, so
     the omitted terms sum to at most  tail = 2 |next term| / (1 - q).
-    An array runs until its slowest point stops, but each point's tail is
-    taken where that point stops, as a scalar call takes it, and its
-    value no longer changes after that.
+    An array point leaves the loop at the step where it stops, with its
+    value and tail taken there, as a scalar call takes them; the loop
+    goes on over the points still live only.
     """
     if kind not in (2, 3, 4):
         raise ValueError("kind must be one of 2, 3, 4")
@@ -175,22 +177,32 @@ def jacobi_theta_and_tail(kind: int, q: ArrayLike) -> Tuple[ArrayLike, ArrayLike
     else:
         term = total = full_like(q, 1.0)  # q^(n^2) at n = 0
         w, sign = q, (1.0 if kind == 3 else -1.0)
-    s, live, rem = sign, True, full_like(q, 0.0)
-    while True:
+    pos = None  # a float never compacts
+    if not isinstance(q, float):
+        # Flat working arrays of the live points, at positions pos of the
+        # value and remainder arrays.
+        pos, value, rem = np.arange(q.size), np.empty(q.size), np.empty(q.size)
+        term, total, w, q2 = (np.ravel(a) for a in (term, total, w, q2))
+    s = sign
+    while pos is None or pos.size:
         term = term * w
         two = 2.0 * term
         total = total + s * two
         w = w * q2
         # Once a point passes the cutoff its terms fall below half an ulp
-        # of its total, which stops changing, so it never turns live
-        # again.  Its remainder is taken at that step, as a scalar call
-        # takes it; the array's later steps add zero to it.
+        # of its total, which would not change again: its value is final
+        # and its remainder is taken at this step.
         still = two > _TERM_CUTOFF * abs(total)
-        rem = rem + two * w * (live != still)
-        if not _any(still):
-            break
-        live, s = still, s * sign
-    return total, rem / (1.0 - q)
+        if pos is None:
+            if not still:
+                return total, two * w / (1.0 - q)
+        elif not still.all():
+            done = ~still
+            value[pos[done]] = total[done]
+            rem[pos[done]] = two[done] * w[done]
+            pos, term, total, w, q2 = (a[still] for a in (pos, term, total, w, q2))
+        s = s * sign
+    return value.reshape(q.shape), rem.reshape(q.shape) / (1.0 - q)
 
 
 def jacobi_theta(kind: int, q: ArrayLike) -> ArrayLike:
@@ -283,7 +295,7 @@ def one_minus_t_theta_max(gamma: float, tol: float = 1e-12) -> Tuple[float, floa
     """Global maximum of (1 - t) * theta(t^gamma) over t in (0, 1).
 
     Returns ``(t_star, value)`` from ``maximize_on_unit_interval`` (grid
-    scan plus golden-section refinement); the objective exceeds 1 for
+    scan plus Brent refinement); the objective exceeds 1 for
     gamma < 1.  theta(t^gamma) comes from the functional equation: the
     direct sum where t^gamma <= e^-pi (at most 5 terms) and
     e^(pi x/8)/sqrt(2x) * theta4(e^(-2 pi/x)), x = -gamma ln(t)/pi,

@@ -13,9 +13,11 @@ sqrt(2p) * {1, sqrt(2), ..., sqrt(m)}.
 
 Everything here favors exhaustive enumeration over cleverness; these
 are correctness oracles with deliberately small domains, not production
-paths.  S_k is enumerated in one place, the cached signed list of its
-non-k-cycles; the indicator sums it once per coincidence pattern, and
-its partition expansion groups it by cycle partition.
+paths.  S_k is enumerated in one place, a cached integer array of its
+non-k-cycles that holds each one's images, sign and cycle labels (the
+smallest element of each point's cycle); the indicator is one masked
+sum of its signs per coincidence pattern, and the partition expansion
+groups its rows by cycle labels.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Sequence, Tuple
+
+import numpy as np
 
 from .lattice_combinatorics import count_box, is_prime, next_prime
 
@@ -38,22 +42,6 @@ class NonPrimeModulusError(ValueError):
 
 class DiameterError(ValueError):
     """Pairwise half squared distances reach (m+1)*p, outside the valid window."""
-
-
-def _cycles(image: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    # Cycles of the permutation i -> image[i] of {0, ..., k-1}.
-    seen = [False] * len(image)
-    out: List[Tuple[int, ...]] = []
-    for start in range(len(image)):
-        cycle = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cycle.append(i)
-            i = image[i]
-        if cycle:
-            out.append(tuple(cycle))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -80,26 +68,32 @@ class SetPartition:
 
 
 @lru_cache(maxsize=None)
-def _non_cycle_terms(k: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    # (sign, image) for every non-k-cycle of S_k acting on {0, ..., k-1}.
-    out = []
-    for image in itertools.permutations(range(k)):
-        n_cycles = len(_cycles(image))
-        if n_cycles > 1:
-            out.append((-1 if (k - n_cycles) % 2 else 1, image))
-    return tuple(out)
+def _non_k_cycles(k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Every non-k-cycle of S_k acting on {0, ..., k-1}, one row each:
+    # its images, its sign, and for each point i the smallest element of
+    # i's cycle, the running minimum of i, sigma(i), ..., sigma^(k-1)(i)
+    # over k - 1 vectorized compositions.
+    images = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    label, orbit = np.arange(k), images
+    for _ in range(k - 1):
+        label = np.minimum(label, orbit)
+        orbit = np.take_along_axis(images, orbit, axis=1)
+    n_cycles = np.count_nonzero(label == np.arange(k), axis=1)
+    keep = n_cycles > 1
+    signs = np.where((k - n_cycles) % 2, -1, 1)
+    out = (images[keep], signs[keep], label[keep])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _pattern_indicator(pattern: Tuple[int, ...]) -> int:
     # Signed count of the non-k-cycles constant on every cycle, i.e. with
     # pattern[sigma(i)] == pattern[i] for all i.
-    k = len(pattern)
-    return sum(
-        sign
-        for sign, image in _non_cycle_terms(k)
-        if all(pattern[image[i]] == pattern[i] for i in range(k))
-    )
+    images, signs, _ = _non_k_cycles(len(pattern))
+    p = np.array(pattern)
+    return int(signs[(p[images] == p).all(axis=1)].sum())
 
 
 def distinctness_indicator(labels: Sequence) -> int:
@@ -125,17 +119,22 @@ def partition_coefficients(k: int) -> Dict[SetPartition, int]:
     """Coefficients c_P with  indicator = sum_P c_P prod_{B in P} [equal on B].
 
     Groups the signed non-full-cycle permutations of S_k, the terms of
-    the indicator, by their cycle partition and sums signs.  Only
-    nontrivial partitions (two or more blocks) appear; every returned
-    coefficient is nonzero.
+    the indicator, by their cycle labels (one label row per cycle
+    partition) and sums signs.  Only nontrivial partitions (two or more
+    blocks) appear; every returned coefficient is nonzero.
     """
     if not 2 <= k <= 7:
         raise ValueError("k must be between 2 and 7")
+    _, signs, labels = _non_k_cycles(k)
+    rows, group = np.unique(labels, axis=0, return_inverse=True)
+    sums = np.zeros(len(rows), dtype=np.int64)
+    np.add.at(sums, group.reshape(-1), signs)
     out: Dict[SetPartition, int] = {}
-    for sign, image in _non_cycle_terms(k):
-        part = SetPartition.of({i + 1 for i in c} for c in _cycles(image))
-        out[part] = out.get(part, 0) + sign
-    return {p: c for p, c in out.items() if c != 0}
+    for row, total in zip(rows.tolist(), sums.tolist()):
+        if total:
+            blocks = ({i + 1 for i, c in enumerate(row) if c == lead} for lead in set(row))
+            out[SetPartition.of(blocks)] = total
+    return out
 
 
 @dataclass(frozen=True)

@@ -317,13 +317,18 @@ def partition_reconstruction():
         coeffs = tensor_oracle.partition_coefficients(k)
         if any(p.is_trivial for p in coeffs):
             yield f"k={k}: trivial partition present"
+        # The reconstruction depends only on which positions are equal,
+        # so it is summed once per coincidence pattern.
+        recon: Dict[Tuple[int, ...], int] = {}
         for labels in itertools.product(range(3), repeat=k):
-            recon = sum(
-                c
-                for part, c in coeffs.items()
-                if all(len({labels[i - 1] for i in block}) == 1 for block in part.blocks)
-            )
-            if recon != tensor_oracle.distinctness_indicator(labels):
+            pattern = tuple(labels.index(x) for x in labels)
+            if pattern not in recon:
+                recon[pattern] = sum(
+                    c
+                    for part, c in coeffs.items()
+                    if all(len({labels[i - 1] for i in block}) == 1 for block in part.blocks)
+                )
+            if recon[pattern] != tensor_oracle.distinctness_indicator(labels):
                 yield f"k={k} labels={labels}"
 
 

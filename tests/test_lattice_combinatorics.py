@@ -18,7 +18,7 @@ from chromabound import (
     profile_diameter,
     profile_diameter_bruteforce,
 )
-from chromabound.lattice_combinatorics import _arrangements, _sparse_power
+from chromabound.lattice_combinatorics import _sparse_power
 
 
 def enumerate_box_count(n, l, d):
@@ -232,12 +232,29 @@ def recursive_arrangements(counts):
     return out
 
 
-class TestArrangements:
-    def test_lexicographic_order_and_count(self):
-        for counts in itertools.product(range(4), repeat=4):
-            got = list(_arrangements(counts))
-            assert got == recursive_arrangements(counts)
-            assert len(got) == multinomial(sum(counts), counts)
+class TestBruteforceAgainstArrangements:
+    def test_every_small_count_vector(self):
+        # Every count vector with n <= 8 and l <= 3, the ones whose pairing
+        # order is not monotone (profile_diameter raises) included: the
+        # table search equals the maximum over all arrangements, with one
+        # endpoint pinned to the sorted arrangement.
+        not_monotone = 0
+        for l in range(0, 4):
+            for counts in itertools.product(range(9), repeat=l + 1):
+                if sum(counts) > 8:
+                    continue
+                arrangements = recursive_arrangements(counts)
+                expected = max(
+                    sum((x - y) ** 2 for x, y in zip(arrangements[0], other))
+                    for other in arrangements
+                )
+                profile = CompositionProfile(counts)
+                assert profile_diameter_bruteforce(profile) == expected // 2, counts
+                try:
+                    profile_diameter(profile)
+                except ValueError:
+                    not_monotone += 1
+        assert not_monotone > 0
 
 
 class TestAlternatingSquareIdentity:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from chromabound import optimize
+from chromabound.bound_engine import theta_ratio
 from chromabound.optimize import (
     GRID,
     GRID_POINTS,
@@ -31,6 +34,42 @@ def test_golden_section_stops_below_float_spacing():
     x, v = golden_section_max(f, 0.0, 1.0, xtol=1e-30)
     assert x == pytest.approx(0.3, abs=1e-7)
     assert v == f(x)
+
+
+def golden_section_evaluations(lo, hi, xtol):
+    """Evaluations pure golden section spends on [lo, hi]: two interior
+    points, then one per shrink of the bracket by 1/phi to at most xtol."""
+    return 2 + math.ceil(math.log((hi - lo) / xtol) / math.log((1.0 + math.sqrt(5.0)) / 2.0))
+
+
+def _grid_bracket(f):
+    i = int(np.argmax(f(GRID)))
+    return float(GRID[i - 1]), float(GRID[i + 1])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        pytest.param(lambda t: -((t - 0.3) ** 2) + 1.0, id="quadratic"),
+        pytest.param(lambda t: theta_ratio(t, 1.0 / 11.0, 21), id="theta_ratio"),
+    ],
+)
+def test_refinement_reaches_xtol_in_fewer_evaluations_than_golden_section(f):
+    lo, hi = _grid_bracket(f)
+    evals = []
+
+    def counted(x):
+        evals.append(x)
+        return f(x)
+
+    x, v = golden_section_max(counted, lo, hi, xtol=1e-12)
+    assert v == f(x) and all(lo < e < hi for e in evals)
+    # Every point evaluated so far lies outside the bracket around the
+    # best one, so its ends are the nearest evaluated points (or lo, hi).
+    a = max((e for e in evals if e < x), default=lo)
+    b = min((e for e in evals if e > x), default=hi)
+    assert b - a <= 1e-12
+    assert len(evals) < golden_section_evaluations(lo, hi, 1e-12) == 44
 
 
 def test_default_hi_scans_the_whole_interval():

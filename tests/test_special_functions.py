@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chromabound import (
+    dn_theta,
     e8_series,
     functional_equation_residual,
     gamma_chi,
@@ -16,7 +17,7 @@ from chromabound import (
 )
 from chromabound import special_functions
 from chromabound.optimize import GRID, maximize_on_unit_interval
-from chromabound.special_functions import _MODULAR_SWITCH, _theta_of_power
+from chromabound.special_functions import _MODULAR_SWITCH, _theta_of_power, check_unit_interval
 
 
 def direct_partial_theta(t, gamma, terms):
@@ -156,6 +157,14 @@ class TestJacobiTheta:
         scalars = np.array([jacobi_theta_and_tail(kind, float(q))[1] for q in GRID])
         assert np.all(tails > 0.0)
         np.testing.assert_allclose(tails, scalars, rtol=4e-15 if kind == 2 else 0.0, atol=0.0)
+
+    @pytest.mark.parametrize("kind", [2, 3, 4])
+    def test_array_value_matches_scalar_on_grid(self, kind):
+        # An array point leaves the loop where a scalar call stops, so it
+        # takes the same float steps; kind 2 starts from numpy's q**0.25.
+        values, _ = jacobi_theta_and_tail(kind, GRID)
+        scalars = np.array([jacobi_theta_and_tail(kind, float(q))[0] for q in GRID])
+        np.testing.assert_allclose(values, scalars, rtol=4e-15 if kind == 2 else 0.0, atol=0.0)
 
     def test_tail_vanishes_at_zero(self):
         for kind in (2, 3, 4):
@@ -302,3 +311,51 @@ def test_scalar_array_contract(f, rel, gamma):
         assert isinstance(out, np.ndarray) and out.shape == arr.shape
     scalars = np.array([f(float(t), gamma) for t in ts])
     np.testing.assert_allclose(f(ts, gamma), scalars, rtol=rel, atol=0.0)
+
+
+class TestCheckUnitInterval:
+    @pytest.mark.parametrize("t", [0.0, 0.3, np.float64(0.3), np.array(0.3), 1.0])
+    def test_scalar_comes_back_as_python_float(self, t):
+        assert type(check_unit_interval(t, hi_open=False)) is float
+        assert check_unit_interval(t, hi_open=False) == float(t)
+
+    @pytest.mark.parametrize("hi_open", [False, True])
+    def test_every_path_accepts_and_rejects_the_same_values(self, hi_open):
+        # A Python float takes plain comparisons; np.float64, a 0-d array
+        # and a 1-d array take numpy's.
+        values = [-1e-300, -0.0, 0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0,
+                  math.nextafter(1.0, 2.0), math.inf, -math.inf, math.nan]
+        for v in values:
+            outcomes = set()
+            for arg in (v, np.float64(v), np.array(v), np.array([0.5, v])):
+                try:
+                    check_unit_interval(arg, hi_open)
+                    outcomes.add(True)
+                except ValueError:
+                    outcomes.add(False)
+            assert len(outcomes) == 1, v
+            expected = 0.0 <= v and (v < 1.0 if hi_open else v <= 1.0)
+            assert outcomes == {expected}, v
+
+
+_EVALUATORS = [
+    pytest.param(lambda t: theta_truncated(t, 0.5, 4), id="theta_truncated"),
+    pytest.param(lambda t: theta_full(t, 0.5), id="theta_full"),
+    pytest.param(lambda t: theta_ratio(t, 0.5, 4), id="theta_ratio"),
+    pytest.param(lambda t: jacobi_theta(3, t), id="jacobi_theta"),
+    pytest.param(lambda t: jacobi_theta_and_tail(2, t), id="jacobi_theta_and_tail"),
+    pytest.param(lambda t: dn_theta(4, t), id="dn_theta"),
+    pytest.param(lambda t: _E8.evaluate(t), id="ThetaSeries.evaluate"),
+    pytest.param(lambda t: _E8.tail_bound(t), id="ThetaSeries.tail_bound"),
+]
+
+
+@pytest.mark.parametrize("f", _EVALUATORS)
+@pytest.mark.parametrize(
+    "t", [math.nan, np.array([0.2, math.nan, 0.4])], ids=["float", "array"]
+)
+def test_nan_is_rejected(f, t):
+    # NaN fails every comparison, so it once passed the range check and
+    # came back as nan (theta_full spun through its whole term budget).
+    with pytest.raises(ValueError, match="must lie in"):
+        f(t)

@@ -68,6 +68,16 @@ def brute_partition_coefficients(k):
     return {blocks: c for blocks, c in out.items() if c}
 
 
+def coincidence_patterns(k, max_blocks):
+    """Every coincidence pattern of k labels with at most max_blocks
+    distinct values, as its restricted growth string (the constant tuple
+    is the one-block pattern)."""
+    out = [()]
+    for _ in range(k):
+        out = [p + (j,) for p in out for j in range(min(max(p, default=-1) + 2, max_blocks))]
+    return out
+
+
 def half_dist(a, b):
     return sum((x - y) ** 2 for x, y in zip(a, b)) // 2
 
@@ -90,6 +100,15 @@ class TestDistinctnessIndicator:
     @pytest.mark.parametrize("k", [6, 7])
     def test_long_tuples_against_bruteforce(self, k):
         for labels in [("a",) * k, ("x", 1, "x", 2.0, 1, "y", "x")[:k]]:
+            assert distinctness_indicator(labels) == brute_indicator(labels)
+
+    @pytest.mark.parametrize("k, max_blocks", [(6, 6), (7, 2)])
+    def test_long_patterns_against_bruteforce(self, k, max_blocks):
+        # Every pattern at k = 6; at k = 7 the constant tuple and every
+        # two-block pattern (the brute force takes about 10 ms per tuple there).
+        patterns = coincidence_patterns(k, max_blocks)
+        assert len(patterns) == (203 if k == 6 else 64)
+        for labels in patterns:
             assert distinctness_indicator(labels) == brute_indicator(labels)
 
     def test_unhashable_labels(self):
