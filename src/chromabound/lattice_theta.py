@@ -52,6 +52,9 @@ INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 DEFAULT_SERIES_LENGTH = 512
 
+#: Rounding margin of the float tail bounds (``ThetaSeries.tail_bound``, ``mu_dn``).
+_TAIL_MARGIN = 1.0 + 2.0 ** -30
+
 
 class TailBoundError(ValueError):
     """Raised when a truncated series cannot certify its tail; increase K."""
@@ -68,15 +71,12 @@ class ThetaSeries:
     """Truncated theta series of an even integral lattice.
 
     ``coeffs[j]`` is the exact number of lattice vectors with squared
-    norm 2j, for j = 0 .. K.  ``growth_exponent`` g is a polynomial
-    degree such that N_j <= A * j^g describes the coefficient growth;
-    A is fitted from the stored coefficients with a 2x safety factor
-    and feeds the tail bound.
+    norm 2j, for j = 0 .. K.  ``tail_bound`` works out a proven bound on
+    the omitted terms from ``dim`` and ``coeffs`` alone.
     """
 
     dim: int
     coeffs: Tuple[int, ...]
-    growth_exponent: float
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -91,17 +91,6 @@ class ThetaSeries:
     def _float_coeffs_high_first(self) -> Tuple[float, ...]:
         return tuple(float(c) for c in reversed(self.coeffs))
 
-    @cached_property
-    def _amplitude(self) -> float:
-        # Fitted A with N_j <= A * j^g over the stored range, 2x safety.
-        g = self.growth_exponent
-        best = 0.0
-        for j in range(1, len(self.coeffs)):
-            ratio = float(self.coeffs[j]) / j ** g
-            if ratio > best:
-                best = ratio
-        return 2.0 * best
-
     def evaluate(self, t: ArrayLike) -> ArrayLike:
         """Truncated series value  sum_j N_j t^(2j)  for t in [0, 1)."""
         t = check_unit_interval(t, hi_open=True)
@@ -112,19 +101,65 @@ class ThetaSeries:
         return acc
 
     def tail_bound(self, t: ArrayLike) -> ArrayLike:
-        """Upper bound on the omitted tail  sum_{j > K} N_j t^(2j).
+        """Proven upper bound on the omitted tail  sum_{j > K} N_j x^j,  x = t^2.
 
-        Uses N_j <= A j^g and (1 + i/(K+1))^g <= exp(g i / (K+1)); infinite
-        where the resulting geometric comparison does not converge.
+        Hypothesis: ``coeffs`` are the norm counts N_j = #{v in L : |v|^2 = 2j}
+        of a lattice L in R^d, d = ``dim``.  Let j0 be the first j >= 1 with
+        N_j > 0, or K + 1 if there is none; every nonzero norm is at least 2 j0.
+
+        1. Differences of lattice points are lattice vectors, so the balls of
+           radius rho = sqrt(2 j0)/2 about the lattice points are disjoint, and
+           those about the v with |v|^2 <= 2j lie in the ball of radius
+           sqrt(2j) + rho.  Comparing volumes,
+           S_j = sum_{i <= j} N_i <= C_j = (1 + a sqrt(j))^d,  a = 2/sqrt(j0).
+        2. Summation by parts, as S_j x^j -> 0:
+           sum_{j > K} N_j x^j = (1 - x) sum_{j > K} S_j x^j - S_K x^(K+1)
+                               <= (1 - x) sum_{j > K} C_j x^j.
+        3. C_z rises and x^z falls in z, so C_j x^j <= x^-1 int_j^(j+1) C_z x^z dz
+           and  sum_{j > K} C_j x^j <= x^-1 int_{K+1}^inf C_z x^z dz.
+        4. With lam = -ln x, y = (K+1) lam and s_i = i/2 + 1, the binomial
+           expansion of C_z gives
+           int_{K+1}^inf C_z x^z dz = sum_{i=0..d} binom(d, i) a^i lam^(-s_i) Gamma(s_i, y),
+           upper incomplete gamma values at half-integer shapes, from
+           Gamma(1/2, y) = sqrt(pi) erfc(sqrt y), Gamma(1, y) = e^-y and
+           Gamma(s+1, y) = s Gamma(s, y) + y^s e^-y.  They are held as
+           H(s) = e^y Gamma(s, y) / y^(s-1), so that H(s+1) = s H(s)/y + 1;
+           where e^y would overflow (y >= 700), H(1/2) takes its upper
+           bound 1, from Gamma(1/2, y) <= y^(-1/2) e^-y.
+
+        Together, with (1 - x)/x = expm1(lam), the tail is at most
+
+            expm1(lam)/lam * e^-y * sum_i binom(d, i) (a sqrt(K+1))^i H(s_i),
+
+        a sum of positive terms, finite on [0, 1) and 0 at t = 0.  It is
+        evaluated in log space and multiplied by the rounding margin
+        ``_TAIL_MARGIN`` = 1 + 2^-30, which exceeds the float error of the
+        d + 1 positive terms and of e^-y (y < 3000 wherever the result is a
+        normal float).  A float sum that overflows gives inf, the safe side.
         """
         arr = np.asarray(check_unit_interval(t, hi_open=True))
-        u = arr * arr
         kp1 = len(self.coeffs)
-        growth = math.exp(self.growth_exponent / kp1)
-        denom = 1.0 - u * growth
-        lead = self._amplitude * float(kp1) ** self.growth_exponent
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            tail = np.where(denom > 0.0, lead * u ** kp1 / np.maximum(denom, 1e-300), np.inf)
+        j0 = next((j for j in range(1, kp1) if self.coeffs[j]), kp1)
+        b = 2.0 * np.sqrt(kp1 / j0)  # a sqrt(K+1)
+        tail = np.zeros(arr.shape)
+        live = arr > 0.0
+        lam = -2.0 * np.log(arr[live])
+        y = kp1 * lam
+        h_half = np.ones(y.shape)
+        near = y < 700.0
+        y_near = y[near]
+        erfc = np.array([math.erfc(v) for v in np.sqrt(y_near)])
+        h_half[near] = np.sqrt(np.pi * y_near) * np.exp(y_near) * erfc
+        # h[i % 2] = H(s_i - 1): H(1/2) starts the odd i, and the even i
+        # start from H(1) = 0 * H(0)/y + 1, so H(0) needs no value.
+        h = [np.zeros(y.shape), h_half]
+        total = np.zeros(y.shape)
+        with np.errstate(over="ignore"):
+            for i in range(self.dim + 1):
+                h[i % 2] = (0.5 * i) * h[i % 2] / y + 1.0
+                total += math.comb(self.dim, i) * b ** i * h[i % 2]
+            log_tail = np.log(total) - y + lam + np.log(-np.expm1(-lam)) - np.log(lam)
+            tail[live] = np.exp(log_tail) * _TAIL_MARGIN
         return tail if arr.ndim else float(tail)
 
 
@@ -171,8 +206,7 @@ def dn_series(n: int, K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     for c in range(1, math.isqrt(limit) + 1):
         squares[c * c] = 2
     coeffs = tuple(_sparse_power(squares, n, limit)[0::2])
-    growth = max(0.5, n / 2.0 - 0.5)
-    return ThetaSeries(dim=n, coeffs=coeffs, growth_exponent=growth, label=f"D{n}")
+    return ThetaSeries(dim=n, coeffs=coeffs, label=f"D{n}")
 
 
 def _divisor_power_sums(K: int, power: int) -> List[int]:
@@ -190,7 +224,7 @@ def e8_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
         raise ValueError("K must be a positive integer")
     sigma3 = _divisor_power_sums(K, 3)
     coeffs = (1,) + tuple(240 * sigma3[j] for j in range(1, K + 1))
-    return ThetaSeries(dim=8, coeffs=coeffs, growth_exponent=3.25, label="E8")
+    return ThetaSeries(dim=8, coeffs=coeffs, label="E8")
 
 
 def ramanujan_tau(K: int) -> List[int]:
@@ -230,9 +264,7 @@ def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
                 "tau expansion is inconsistent"
             )
         coeffs.append(quotient)
-    return ThetaSeries(
-        dim=24, coeffs=tuple(coeffs), growth_exponent=11.25, label="Leech"
-    )
+    return ThetaSeries(dim=24, coeffs=tuple(coeffs), label="Leech")
 
 
 #: Remedy named by the closed forms' TailBoundError: they have no K.
@@ -322,9 +354,8 @@ def _mu(
 def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
     """Maximize theta(t)(1-t)^d over (0, 1) and report mu = (max)^(-1/d).
 
-    The truncation tail increases with t, so the certified prefix of
-    ``_mu`` holds every grid point with tail below ``tol`` and the check
-    at the maximizer never fires; a TailBoundError asks for a larger K.
+    ``series.tail_bound`` bounds the truncation tail; a TailBoundError
+    asks for a larger K.
     """
     label = series.label or f"dim{series.dim}"
     return _mu(
@@ -351,12 +382,20 @@ def mu_z(tol: float = 1e-10) -> MuResult:
 
 def mu_dn(n: int, tol: float = 1e-10) -> MuResult:
     """Double-cap quantity of D_n from the closed form, as a convergence
-    diagnostic toward mu_Z.  ``tol`` bounds the remainder of theta_{D_n}."""
+    diagnostic toward mu_Z.  ``tol`` bounds the remainder of theta_{D_n}.
+
+    With theta3 = t3 + r and 0 <= r <= tail3 (theta3's terms are
+    positive), the mean value theorem bounds the change in theta3^n by
+    n tail3 (t3 + tail3)^(n-1).  |theta4| <= theta3, and theta4's loop
+    stops no earlier than theta3's, so its remainder is no larger and the
+    same bound covers the change in theta4^n; half their sum bounds the
+    remainder of (theta3^n + theta4^n)/2.  It is multiplied by the
+    rounding margin ``_TAIL_MARGIN``.
+    """
 
     def tail(t: ArrayLike) -> ArrayLike:
         t3, tail3 = jacobi_theta_and_tail(3, t)
-        # First order in theta3's remainder; theta4^n moves no more, as |theta4| <= theta3.
-        return n * t3 ** (n - 1) * tail3
+        return n * tail3 * (t3 + tail3) ** (n - 1) * _TAIL_MARGIN
 
     return _mu(f"D{n}", n, lambda t: dn_theta(n, t), tail, tol, _LARGER_TOL)
 

@@ -217,13 +217,14 @@ class TestLatticeMu:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_small_dn_names_the_limit(self, runner, n):
-        # At the default K the tail leaves the last grid points open.
+        # At the default K, theta plus the proven tail stays at most 1 on
+        # the whole grid.
         result = runner.invoke(cli, ["lattice-mu", "--lattice", f"dn:{n}"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a ClickException, not a crash
         assert result.output.startswith("Error: ")
         assert "not above its t -> 0 limit 1" in result.output
-        assert "request larger K" in result.output
+        assert "mu = 1 gives no bound" in result.output
 
     def test_small_dn_with_long_series_has_no_bound(self, runner):
         result = runner.invoke(cli, ["lattice-mu", "--lattice", "dn:2", "--K", "1100"])

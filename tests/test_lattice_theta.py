@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from chromabound import (
@@ -18,6 +19,8 @@ from chromabound import (
     ramanujan_tau,
 )
 from chromabound.lattice_combinatorics import is_prime
+from chromabound.lattice_theta import _TAIL_MARGIN
+from chromabound.optimize import GRID
 from chromabound.special_functions import jacobi_theta_and_tail
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
@@ -225,9 +228,10 @@ class TestMu:
         with pytest.raises(TailBoundError):
             mu_lattice(e8_series(2))
 
-    @pytest.mark.parametrize("series", [e8_series(16), leech_series(24)], ids=["E8-16", "Leech-24"])
+    @pytest.mark.parametrize("series", [e8_series(16), leech_series(29)], ids=["E8-16", "Leech-29"])
     def test_certification_edge(self, series):
-        # Certified far enough past the maximizer at tol 1e-9, not at 1e-12.
+        # The smallest K certified far enough past the maximizer at tol 1e-9,
+        # not at 1e-12.
         result = mu_lattice(series, 1e-9)
         assert result.tail_bound < 1e-9
         with pytest.raises(TailBoundError, match="edge of the certified region"):
@@ -242,7 +246,7 @@ class TestMu:
         assert z.tail_bound == jacobi_theta_and_tail(3, z.t_star)[1]
         d8 = mu_dn(8)
         t3, tail3 = jacobi_theta_and_tail(3, d8.t_star)
-        assert d8.tail_bound == 8 * t3 ** 7 * tail3
+        assert d8.tail_bound == 8 * tail3 * (t3 + tail3) ** 7 * _TAIL_MARGIN
         assert 0.0 < d8.tail_bound < 1e-10
 
     def test_tail_at_t_star_above_tol_raises(self):
@@ -266,11 +270,10 @@ class TestMu:
 
     @pytest.mark.parametrize("n", [1, 5, 6, 8])
     def test_short_dn_series_asks_for_larger_k(self, n):
-        # Below 1 where certified, but the tail leaves a larger value open;
-        # D6 and D8 do exceed 1 (mu_dn(8) is about 0.963).
-        for K in (1, 512) if n <= 5 else (1,):
-            with pytest.raises(TailBoundError, match="not ruled out; request larger K"):
-                mu_lattice(dn_series(n, K))
+        # At K = 1 the tail certifies fewer than 3 grid points, whether or
+        # not the lattice gives a bound (mu_dn(8) is about 0.963).
+        with pytest.raises(TailBoundError, match="on too small a region; request larger K"):
+            mu_lattice(dn_series(n, 1))
 
     def test_short_series_raises_at_every_tol(self):
         for tol in (1e-9, 1e-12):
@@ -296,19 +299,46 @@ class TestDoubleCapCompare:
 class TestThetaSeriesType:
     def test_requires_unit_constant_term(self):
         with pytest.raises(ValueError):
-            ThetaSeries(dim=2, coeffs=(2, 4), growth_exponent=1.0)
+            ThetaSeries(dim=2, coeffs=(2, 4))
 
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
-            ThetaSeries(dim=2, coeffs=(1, -4), growth_exponent=1.0)
+            ThetaSeries(dim=2, coeffs=(1, -4))
 
     def test_tail_bound_dominates_true_tail(self):
-        full = e8_series(64)
-        short = ThetaSeries(
-            dim=8, coeffs=full.coeffs[:33], growth_exponent=3.25, label="E8"
-        )
-        for t in (0.2, 0.4, 0.6):
-            true_tail = sum(
-                c * t ** (2 * j) for j, c in enumerate(full.coeffs) if j > 32
-            )
-            assert short.tail_bound(t) >= true_tail
+        # The true remainder past K from a series of length 2048, whose own
+        # remainder is below the float resolution of the sum for t <= 0.95.
+        ts = [0.1 * i for i in range(1, 10)] + [0.95]
+        checked = [0.0] + ts + list(GRID[::97])
+        longs = [e8_series(2048), leech_series(2048)]
+        longs += [dn_series(n, 2048) for n in (1, 2, 8, 24, 64)]
+        min_norm = {"E8": 2, "Leech": 4, "D1": 4, "D2": 2, "D8": 2, "D24": 2, "D64": 2}
+        for full in longs:
+            a = 2.0 / math.sqrt(min_norm[full.label] / 2)
+            for K in (16, 32, 64):
+                short = ThetaSeries(full.dim, full.coeffs[: K + 1], full.label)
+                js = np.arange(K + 1, 4097)
+                for t in ts:
+                    true_tail = math.fsum(
+                        c * t ** (2 * j) for j, c in enumerate(full.coeffs) if j > K
+                    )
+                    bound = short.tail_bound(t)
+                    assert bound >= true_tail, (full.label, K, t)
+                    # The integral of the docstring's steps 3-4 lies between x
+                    # and x^-1 times the sum of step 2, so the bound lies
+                    # between (1 - x) and (1 - x)/x^2 times that sum.
+                    x = t * t
+                    by_parts = (1 - x) * math.fsum((1 + a * np.sqrt(js)) ** full.dim * x ** js)
+                    assert by_parts <= bound <= by_parts / x ** 2 * (1 + 1e-8), (full.label, K, t)
+                grid_tail = short.tail_bound(GRID)
+                assert np.isfinite(grid_tail).all(), (full.label, K)
+                assert short.tail_bound(0.0) == 0.0
+                points = short.tail_bound(np.array(checked))
+                assert points.tolist() == [short.tail_bound(float(t)) for t in checked]
+        # With no nonzero norm stored, the minimum norm is 2(K+1) = 4, not 2:
+        # still above the true Leech tail, and below a bound that assumes norm 2.
+        bare, leech = leech_series(1), longs[1]
+        assert bare.coeffs == (1, 0)
+        for t in ts:
+            true_tail = math.fsum(c * t ** (2 * j) for j, c in enumerate(leech.coeffs) if j > 1)
+            assert true_tail <= bare.tail_bound(t) < ThetaSeries(24, (1, 1)).tail_bound(t)
