@@ -12,15 +12,19 @@ ratio R_l(t) into the mediant of R_l(t) and t^(gamma*l(l+1)/2 - l), so
 R_{l+1}(t) lies between the two.  The exponent is nonnegative once
 l >= 2/gamma - 1, and then t^(...) <= 1 <= max R_l; hence the argmax
 satisfies l_star <= ceil(2/gamma) - 1, and at k = 1 it equals that bound
-(2m + 1) for every m <= 15.  ``best_l`` scans exactly this window from
-l = 2: the 1-term ratio R_1 is identically 1, the value it starts from.
+(2m + 1) for every m <= 15.  From below: with f(j) = gamma j(j+1)/2 - j,
+f falls strictly on 0..l while l gamma < 1, so the appended ratio t^f(l)
+exceeds every termwise ratio t^f(j), j < l, hence R_l(t), and
+R_{l+1} > R_l on (0, 1).  Only the l with l k >= m + 1 can win, and
+``best_l`` refines the l >= 2 of [1/gamma, 2/gamma - 1]; the 1-term
+ratio R_1 is identically 1, the value it starts from.
 
 ``best_l`` sweeps the grid once per gamma: R_l on ``optimize.GRID`` for
 every l comes from running numerator and denominator sums, one term
-each per step, with the float operations of ``theta_truncated`` and
-``theta_ratio``, so each R_l equals a fresh array call bit for bit.
-Only the refinement of the local grid maxima of each R_l evaluates the
-ratio anew, through the scalar ``theta_ratio``.
+each per step, with the float operations of ``theta_ratio``, so each
+R_l equals a fresh array call bit for bit.  Only the refinement of the
+local grid maxima of each R_l evaluates the ratio anew, through the
+scalar ``theta_ratio``.
 
 All functions are pure.  ``table`` computes its cells serially in a
 fixed order (m ascending, then k ascending), and each cell depends only
@@ -93,9 +97,8 @@ def theta_ratio(t: ArrayLike, gamma: float, l: int) -> ArrayLike:
 
     Both sums have l terms.  Defined on [0, 1]; the value at t = 0 is the
     t -> 0 limit, which is 1, and the value at t = 1 is l / l = 1.
+    ``theta_truncated`` checks ``l`` and ``gamma``.
     """
-    if l < 1:
-        raise ValueError("l must be a positive integer")
     num = theta_truncated(t, gamma, l)
     t = check_unit_interval(t, hi_open=False)
     den = p = full_like(t, 1.0)
@@ -112,10 +115,6 @@ def maximize_over_t(gamma: float, l: int, tol: float = 1e-12) -> Tuple[float, fl
     exceeds the common endpoint limit 1 (gamma >= 1), the supremum 1 is
     reported at t_star = 0.
     """
-    if l < 1:
-        raise ValueError("l must be a positive integer")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     return _refine_l(gamma, l, theta_ratio(GRID, gamma, l), tol)
 
 
@@ -135,29 +134,32 @@ def _refine_l(
 def best_l(gamma: float, tol: float = 1e-12) -> Tuple[int, float, float]:
     """Maximize the ratio jointly over t and the term count l.
 
-    Starts from ``(1, 0.0, 1.0)``, the 1-term ratio R_1 = 1, then scans
-    l = 2 .. ceil(2/gamma) - 1 and returns ``(l_star, t_star, value)``;
-    for gamma >= 1 nothing is scanned.  Ties break toward smaller l.
-    Each l gives the result of ``maximize_over_t(gamma, l, tol)``, bit for
-    bit, from one running sweep of the grid (see the module docstring).
-    By the mediant argument in the module docstring no l past the window
-    can win; the window is attained at k = 1 (l_star = 2m + 1) for every
-    m <= 15 (checked at 60 significant digits).  For gamma = k/(m+1) the
-    float ceil(2/gamma) is never below the exact ceil(2(m+1)/k) (checked
-    for m, k <= 500), so rounding can add one l but never drop one.
+    Starts from ``(1, 0.0, 1.0)``, the 1-term ratio R_1 = 1, steps
+    l = 2 .. ceil(2/gamma) - 1, refines the l with l * gamma >= 1 and
+    returns ``(l_star, t_star, value)``; for gamma >= 1 nothing is
+    scanned.  Ties break toward smaller l.  Each refined l gives the
+    result of ``maximize_over_t(gamma, l, tol)``, bit for bit, from one
+    running sweep of the grid.  No l outside the window can win (module
+    docstring); the upper edge is attained at k = 1 (l_star = 2m + 1) for
+    every m <= 15 (checked at 60 significant digits).  Rounding never
+    drops an l that the exact rules keep: the float ceil(2/gamma) is
+    never below the exact ceil(2(m+1)/k) (checked for m, k <= 500), and
+    an l is skipped only if the float l * gamma < 1 - 1e-12, which a few
+    ulps of rounding cannot reach from l k >= m + 1.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     l_star, t_star, value = 1, 0.0, 1.0
-    r = GRID ** gamma
+    q = r = GRID ** gamma
     num = term = den = p = np.ones_like(GRID)
-    q = r
     for l in range(2, math.ceil(2.0 / gamma)):
         term = term * q
         num = num + term
         q = q * r
         p = p * GRID
         den = den + p
+        if l * gamma < 1.0 - 1e-12:
+            continue
         t, v = _refine_l(gamma, l, num / den, tol)
         if v > value:
             l_star, t_star, value = l, t, v

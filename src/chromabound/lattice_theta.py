@@ -38,7 +38,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .lattice_combinatorics import _sparse_power
-from .optimize import GRID, maximize_on_unit_interval
+from .optimize import GRID, refine_grid_maxima
 from .special_functions import (
     ArrayLike,
     check_unit_interval,
@@ -281,9 +281,10 @@ def _mu(
 ) -> MuResult:
     """Maximize theta(t)(1-t)^dim where theta's remainder ``tail`` is below ``tol``.
 
-    The grid points of ``optimize.GRID`` before the first one whose tail
-    is not below ``tol`` are certified; the search runs on (0, hi) with
-    ``hi`` that first uncertified point (1 if there is none).
+    ``tail`` and the objective are each evaluated once on all of
+    ``optimize.GRID`` and the scan goes to ``refine_grid_maxima``, so the
+    maximizer does not depend on ``tail``.  The grid points before the
+    first one whose tail is not below ``tol`` are certified.
 
     A maximum not above 1, the t -> 0 limit, gives no bound.  It raises
     NoBoundError if theta + tail, an upper bound on the untruncated
@@ -298,25 +299,25 @@ def _mu(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mask = tail(GRID) < tol
+    tails = tail(GRID)
+    mask = tails < tol
     certified = len(GRID) if bool(mask.all()) else int(np.argmin(mask))
     if certified < 3:
         raise TailBoundError(
             f"tail bound below {tol} on too small a region; {remedy}"
         )
-    hi = float(GRID[certified]) if certified < len(GRID) else 1.0
 
     def objective(t: ArrayLike) -> ArrayLike:
         return theta(t) * (1.0 - t) ** dim
 
-    t_star, max_value = maximize_on_unit_interval(objective, xtol=1e-12, hi=hi)
+    vals = objective(GRID)
+    t_star, max_value = refine_grid_maxima(objective, vals, xtol=1e-12)
     if not max_value > 1.0:
         claim = (
             f"theta_{label}(t)(1-t)^{dim} has maximum {max_value!r}, not above its"
             f" t -> 0 limit 1, where its tail bound is below {tol}"
         )
-        upper = objective(GRID) + tail(GRID) * (1.0 - GRID) ** dim
-        if not bool((upper > 1.0).any()):
+        if not bool((vals + tails * (1.0 - GRID) ** dim > 1.0).any()):
             raise NoBoundError(
                 f"{claim}, and theta plus tail keeps it at most 1 at every grid"
                 " point of (0, 1), so mu = 1 gives no bound"
@@ -327,14 +328,14 @@ def _mu(
         )
     if not GRID[0] < t_star < GRID[certified - 1]:
         past = (
-            f", and the tail bound {float(tail(hi))!r} at the next grid point"
-            f" t = {hi!r} is not below {tol}"
-            if hi < 1.0
+            f", and the tail bound {float(tails[certified])!r} at the next grid point"
+            f" t = {float(GRID[certified])!r} is not below {tol}"
+            if certified < len(GRID)
             else ""
         )
         raise TailBoundError(
             f"tail bound at the maximizer is not certified below {tol}: the maximizer"
-            f" sits at the edge of the certified region{past}; {remedy}"
+            f" sits at or past the edge of the certified region{past}; {remedy}"
         )
     tail_at_star = float(tail(t_star))
     if not tail_at_star < tol:

@@ -4,9 +4,8 @@ Dense grid scan followed by a bracketed refinement of the local grid
 maxima: Brent's parabolic steps with a golden-section fallback, in
 ``golden_section_max`` (the name is older than the parabolic steps).
 Unimodality is never assumed: several distinct local grid maxima are
-refined and the best refined point wins.  The scan can stop short of 1
-(``hi``), so a caller whose objective is trusted only on a prefix of
-``GRID`` uses the same optimizer.  ``maximize_on_unit_interval`` is the scan followed by
+refined and the best refined point wins.  Every search scans all of
+``GRID``: ``maximize_on_unit_interval`` is the scan followed by
 ``refine_grid_maxima``; a caller that already holds the scanned values
 passes them to the refinement directly.
 """
@@ -97,9 +96,9 @@ def golden_section_max(
 
 
 def refine_grid_maxima(
-    f: Callable, vals: np.ndarray, xtol: float = 1e-12, hi: float = 1.0
+    f: Callable, vals: np.ndarray, xtol: float = 1e-12
 ) -> Tuple[float, float]:
-    """Refine the scanned values ``vals = f(GRID[GRID < hi])`` by Brent's method.
+    """Refine the scanned values ``vals = f(GRID)`` by Brent's method.
 
     Candidates are the local grid maxima: an interior point at least as
     high as both neighbours, the first point if ``vals[0] >= vals[1]``
@@ -109,45 +108,37 @@ def refine_grid_maxima(
     between any two grid points, so it is not refined.  The
     ``RESTARTS`` highest candidates are refined, which guards against
     picking a secondary hump; equal grid values are ranked by lower
-    index.  Each candidate is refined by ``golden_section_max`` on the
-    bracket between its grid neighbours, down to ``xtol``; the bracket of
-    the first point starts halfway to 0 and that of the last point ends
-    halfway to ``hi``.  ``f`` is called on floats only.
+    index.  Each candidate ``GRID[i]`` is refined by ``golden_section_max``
+    on ``[GRID[i-1], GRID[i+1]]``, down to ``xtol``; the bracket of the
+    first point starts halfway to 0 and that of the last point ends
+    halfway to 1.  ``f`` is called on floats only.
 
     Returns ``(x_star, value)``: the best refined point, or the best grid
     point if no refinement beats it.
     """
-    n = len(vals)
-    ts = GRID[:n]
-    peak = np.ones(n, dtype=bool)
-    peak[1:-1] = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    if n > 1:
-        peak[0] = vals[0] >= vals[1]
-        peak[-1] = vals[-1] >= vals[-2]
+    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+    peak = (vals >= padded[:-2]) & (vals >= padded[2:])
     candidates = np.nonzero(peak)[0]
     top = candidates[np.argsort(-vals[candidates], kind="stable")[:RESTARTS]]
 
-    best_x = float(ts[int(np.argmax(vals))])
+    best_x = float(GRID[int(np.argmax(vals))])
     best_v = float(np.max(vals))
     for i in top:
-        lo = ts[i - 1] if i > 0 else 0.5 * ts[0]
-        up = ts[i + 1] if i < n - 1 else 0.5 * (hi + ts[-1])
+        lo = GRID[i - 1] if i > 0 else 0.5 * GRID[0]
+        up = GRID[i + 1] if i < GRID_POINTS - 1 else 0.5 * (1.0 + GRID[-1])
         x, v = golden_section_max(lambda t: float(f(t)), float(lo), float(up), xtol)
         if v > best_v:
             best_x, best_v = x, v
     return best_x, best_v
 
 
-def maximize_on_unit_interval(
-    f: Callable, xtol: float = 1e-12, hi: float = 1.0
-) -> Tuple[float, float]:
-    """Global maximum of ``f`` on (0, hi), with ``GRID[0] < hi <= 1``.
+def maximize_on_unit_interval(f: Callable, xtol: float = 1e-12) -> Tuple[float, float]:
+    """Global maximum of ``f`` on (0, 1).
 
-    ``f`` must accept both a float and a 1-d ndarray.  Scans ``f`` on the
-    points of ``GRID`` below ``hi`` in one array call and refines the
-    local grid maxima with ``refine_grid_maxima``.
+    ``f`` must accept both a float and a 1-d ndarray.  Scans ``f`` on
+    ``GRID`` in one array call and refines the local grid maxima with
+    ``refine_grid_maxima``.
 
     Returns ``(x_star, value)``.
     """
-    vals = np.asarray(f(GRID[GRID < hi]), dtype=float)
-    return refine_grid_maxima(f, vals, xtol, hi)
+    return refine_grid_maxima(f, np.asarray(f(GRID), dtype=float), xtol)

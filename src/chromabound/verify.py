@@ -148,8 +148,8 @@ def best_l_dominates_closed_forms():
 def l_star_window():
     for m in range(1, 11):
         l_star, _, _ = bound_engine.best_l(1.0 / (m + 1))
-        if l_star > 2 * m + 1:
-            yield f"m={m}: l_star={l_star} > {2 * m + 1}"
+        if not m + 1 <= l_star <= 2 * m + 1:
+            yield f"m={m}: l_star={l_star} outside [{m + 1}, {2 * m + 1}]"
 
 
 @_suite("bounds")

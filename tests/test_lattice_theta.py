@@ -237,6 +237,44 @@ class TestMu:
         with pytest.raises(TailBoundError, match="edge of the certified region"):
             mu_lattice(series, 1e-12)
 
+    @pytest.mark.parametrize(
+        "n, ks", [(21, (28, 32, 64, 512)), (38, (48, 64, 512))], ids=["D21", "D38"]
+    )
+    def test_argmax_does_not_depend_on_where_the_tail_certifies(self, n, ks):
+        # At the smallest K the certified region ends one grid point past
+        # t_star; the whole grid is scanned, so t_star is one float.
+        results = [mu_lattice(dn_series(n, K)) for K in ks]
+        assert len({r.t_star for r in results}) == 1
+        assert len({r.mu for r in results}) == 1
+
+    def test_maximizer_past_the_certified_region_raises(self):
+        with pytest.raises(TailBoundError, match="at or past the edge of the certified region"):
+            mu_lattice(dn_series(52, 16), 1e-12)
+
+    @pytest.mark.parametrize(
+        "series, error",
+        [(e8_series(64), None), (dn_series(2, 1100), NoBoundError)],
+        ids=["success", "no-bound"],
+    )
+    def test_scans_the_grid_once(self, monkeypatch, series, error):
+        grid_calls = {"evaluate": 0, "tail_bound": 0}
+        for name in grid_calls:
+            method = getattr(ThetaSeries, name)
+
+            def counting(self, t, method=method, name=name):
+                if np.ndim(t):
+                    assert np.shape(t) == GRID.shape
+                    grid_calls[name] += 1
+                return method(self, t)
+
+            monkeypatch.setattr(ThetaSeries, name, counting)
+        if error is None:
+            mu_lattice(series)
+        else:
+            with pytest.raises(error):
+                mu_lattice(series)
+        assert grid_calls == {"evaluate": 1, "tail_bound": 1}
+
     def test_mu_z_argmax_does_not_depend_on_tol(self):
         t_stars = {mu_z(tol).t_star for tol in (1e-9, 1e-12, 1e-20)}
         assert len(t_stars) == 1

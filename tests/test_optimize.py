@@ -72,24 +72,6 @@ def test_refinement_reaches_xtol_in_fewer_evaluations_than_golden_section(f):
     assert len(evals) < golden_section_evaluations(lo, hi, 1e-12) == 44
 
 
-def test_default_hi_scans_the_whole_interval():
-    def f(t):
-        return -(t - 0.7) ** 2
-
-    assert maximize_on_unit_interval(f) == maximize_on_unit_interval(f, hi=1.0)
-    assert maximize_on_unit_interval(f)[0] == pytest.approx(0.7, abs=1e-6)
-
-
-@pytest.mark.parametrize("hi", [0.5, float(GRID[2000]), 0.9])
-def test_hi_cuts_the_search(hi):
-    # An increasing objective peaks at the cut: the last scanned point's
-    # bracket ends halfway to hi, so x_star lies between that point and hi.
-    x, v = maximize_on_unit_interval(lambda t: t, hi=hi)
-    last = GRID[GRID < hi][-1]
-    assert last <= x <= 0.5 * (hi + last) < hi
-    assert v == x
-
-
 def test_constant_function_returns_first_grid_point():
     # Every grid point is a tied candidate; none refines above the grid value.
     x, v = maximize_on_unit_interval(lambda t: 0.0 * t + 2.5)
@@ -137,6 +119,23 @@ def test_low_endpoints_are_not_refined(brackets):
     lo, hi = brackets[0]
     assert lo < 0.4 < hi and hi - lo < 3.0 / GRID_POINTS
     assert x == pytest.approx(0.4, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "peak, bracket",
+    [
+        pytest.param(float(GRID[0]), (0.5 * float(GRID[0]), float(GRID[1])), id="first"),
+        pytest.param(float(GRID[1]), (float(GRID[0]), float(GRID[2])), id="second"),
+        pytest.param(float(GRID[2000]), (float(GRID[1999]), float(GRID[2001])), id="interior"),
+        pytest.param(float(GRID[-2]), (float(GRID[-3]), float(GRID[-1])), id="next-to-last"),
+    ],
+)
+def test_bracket_spans_the_grid_neighbours(brackets, peak, bracket):
+    # A single grid peak at GRID[i] is refined on [GRID[i-1], GRID[i+1]];
+    # the first bracket starts halfway to 0.  The last point's bracket,
+    # ending halfway to 1, is pinned by the increasing-objective test.
+    maximize_on_unit_interval(lambda t: -abs(t - peak))
+    assert brackets == [bracket]
 
 
 def test_increasing_objective_returns_right_end_maximum(brackets):
