@@ -79,7 +79,7 @@ _EXPORTS = {
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
-_LAYERS = (*_EXPORTS, "optimize", "verify")
+_LAYERS = (*_EXPORTS, "brent", "optimize", "verify")
 
 # The verify suites in run order, named here so that the CLI builds its
 # --suite choices without running the verify layer.

@@ -19,12 +19,37 @@ R_{l+1} > R_l on (0, 1).  Only the l with l k >= m + 1 can win, and
 ``best_l`` refines the l >= 2 of [1/gamma, 2/gamma - 1]; the 1-term
 ratio R_1 is identically 1, the value it starts from.
 
-``best_l`` sweeps the grid once per gamma: R_l on ``optimize.GRID`` for
-every l comes from running numerator and denominator sums, one term
-each per step, with the float operations of ``theta_ratio``, so each
-R_l equals a fresh array call bit for bit.  Only the refinement of the
-local grid maxima of each R_l evaluates the ratio anew, through the
-scalar ``theta_ratio``.
+``best_l`` searches all l of that window at once, in pure Python
+(``_search``; ``maximize_over_t`` is the same search on the window
+{l}).  One pass at a point t gives N_l(t) and D_l(t), the numerator
+and denominator of R_l, for every l, with the float operations of
+``theta_ratio``.  The search rests on three facts:
+
+- **Cell bound.**  Both sums have positive terms that rise with t, so
+  on a cell [a, b]
+
+      R_l(t) = N_l(t) / D_l(t) <= N_l(b) / D_l(a)   for a <= t <= b.
+
+  Each float operation of a pass is monotone in t, so the float R_l
+  obeys the float bound too; a cell is dropped only when its bound,
+  times 1 + ``_SLACK`` (1e-10, a margin for a pow that is off by an
+  ulp), is at most the best value evaluated.  The surviving cells are
+  bisected best first down to ``_LEAF_WIDTH``, from ``_START_CELLS``
+  equal cells.
+- **Early stop.**  A pass stops once its next terms lie below a
+  fraction of an ulp of their sums.  Terms never grow, so every later
+  addition would round to a no-op: the early-stopped sums equal the
+  full l-term sums bit for bit.
+- **No-op rule.**  If, on every leaf [a, b], term l and t^(l-1) at b
+  lie below half an ulp of the (l-1)-term sums at a, then adding them
+  changes neither sum anywhere on the leaf, so R_l == R_(l-1) there in
+  floats, and the same holds for every later l.  Those l would repeat
+  the refinement of l - 1 bit for bit and, with ties going to the
+  smaller l, cannot win; the search stops there.
+
+Each l below the stop is refined by Brent's method
+(``brent.golden_section_max``) on every run of adjacent leaves where its
+own bound survives.  The result is the best point evaluated.
 
 All functions are pure.  ``table`` computes its cells serially in a
 fixed order (m ascending, then k ascending), and each cell depends only
@@ -33,20 +58,17 @@ on its own (m, k).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import truediv
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
+from . import special_functions
+from .brent import golden_section_max
 
-from .optimize import GRID, refine_grid_maxima
-from .special_functions import (
-    ArrayLike,
-    check_unit_interval,
-    full_like,
-    gamma_chi,
-    theta_truncated,
-)
+if TYPE_CHECKING:
+    from .special_functions import ArrayLike
 
 
 @dataclass(frozen=True)
@@ -99,33 +121,213 @@ def theta_ratio(t: ArrayLike, gamma: float, l: int) -> ArrayLike:
     t -> 0 limit, which is 1, and the value at t = 1 is l / l = 1.
     ``theta_truncated`` checks ``l`` and ``gamma``.
     """
-    num = theta_truncated(t, gamma, l)
-    t = check_unit_interval(t, hi_open=False)
-    den = p = full_like(t, 1.0)
+    num = special_functions.theta_truncated(t, gamma, l)
+    t = special_functions.check_unit_interval(t, hi_open=False)
+    den = p = special_functions.full_like(t, 1.0)
     for _ in range(l - 1):
         p = p * t
         den = den + p
     return num / den
 
 
+#: Equal cells of [0, 1] whose ends are evaluated before anything is
+#: pruned.  Their interior ends give the first best value, and each
+#: cell gets a bound; 8 cells (9 passes, two of them at t = 0 and 1)
+#: cost less than the bisection they save.
+_START_CELLS = 8
+
+#: Cells are bisected down to this width, and Brent's method refines
+#: each run of adjacent surviving leaves.  Narrower leaves cost more
+#: passes.  Wider ones stretch the runs up to larger t, where the no-op
+#: rule comes later, and let the leaf at t = 1 survive: its bound
+#: l / D_l(a) stays above the best value unless 1 - a < value / l, about
+#: 18 / 1002 at bound --m 500, the largest window of the CLI.  (From
+#: m = 660 at k = 1 on, that leaf survives at this width too, and every
+#: l of the window is refined.)
+_LEAF_WIDTH = 2.0 ** -6
+
+#: Relative margin on the cell bound: a cell is dropped only when
+#: bound * (1 + _SLACK) <= best.  Every float operation of a pass is
+#: monotone in t, pow included, so the float R_l(t) never exceeds the
+#: float bound; the margin covers a pow that misses that by an ulp, and
+#: it exceeds the 2 * top roundings of the two sums (2 * 10^5 * 2^-53 is
+#: 2.2e-11) for every top up to 10^5.
+_SLACK = 1e-10
+
+
+def _running_sums(q: float, r: float, top: int) -> Tuple[list, list]:
+    # The sums 1 + x_2 + ... + x_l for l = 1 .. top and their terms, with
+    # x_(j+1) = x_j * q_j and q_(j+1) = q_j * r: N_l(t) at q = r = t^gamma
+    # and D_l(t) at q = t, r = 1, by the float operations of theta_ratio.
+    # The pass stops at the first term whose fourfold leaves the sum
+    # unchanged, a term of at most an eighth of an ulp of the sum.  Later
+    # terms are no larger, so no later addition changes the sum, and the
+    # sum past the end of ``totals`` equals its last entry; the term of
+    # that step closes ``terms`` and bounds every later term.  An eighth,
+    # not a half, of an ulp lets those terms pass _no_op against sums at
+    # a nearby point that are half as large.
+    total = term = 1.0
+    totals, terms = [total], [term]
+    for _ in range(top - 1):
+        term = term * q
+        terms.append(term)
+        if total + 4.0 * term == total:
+            break
+        total = total + term
+        totals.append(total)
+        q = q * r
+    return totals, terms
+
+
+def _ratio(t: float, gamma: float, l: int) -> float:
+    # theta_ratio(t, gamma, l) bit for bit at a float t: each sum of
+    # _running_sums alone, stopped at its first term that leaves it
+    # unchanged.  Brent's objective, so it builds no lists.
+    q = r = t ** gamma
+    num = term = 1.0
+    for _ in range(l - 1):
+        term = term * q
+        s = num + term
+        if s == num:
+            break
+        num = s
+        q = q * r
+    den = p = 1.0
+    for _ in range(l - 1):
+        p = p * t
+        s = den + p
+        if s == den:
+            break
+        den = s
+    return num / den
+
+
+def _at(values: list, l: int) -> float:
+    # Entry l (1-based) of a list from _running_sums; past its end, the last.
+    return values[min(l, len(values)) - 1]
+
+
+def _max_ratio(nums: list, dens: list) -> float:
+    # max over l of nums / dens, each list repeating its last entry past
+    # its end.  Past the end of the shorter list the ratio falls with l
+    # if that is nums, and rises to the last entry of nums if it is dens.
+    return max(max(map(truediv, nums, dens)), nums[-1] / dens[-1])
+
+
+def _prune(gamma: float, lo: int, hi: int) -> Tuple[tuple, list]:
+    """Bisect [0, 1] best first, dropping each cell whose bound cannot win.
+
+    Returns ``(best, leaves)``: the best interior point evaluated as
+    ``(value, -l, -t)``, and the cells of width at most ``_LEAF_WIDTH``
+    whose bound beats that value, in order of t, each as
+    ``(a, b, N at a, D at a, N at b, D at b)`` with N and D the
+    ``(totals, terms)`` of ``_running_sums``.
+    """
+    passes: Dict[float, tuple] = {}
+    window: Dict[float, Tuple[list, list]] = {}  # N_l and D_l from l = lo on
+    best = (-math.inf, 0, 0.0)  # (value, -l, -t): ties go to smaller l, then t
+    cells: List[Tuple[float, float, float]] = []  # (-bound, a, b), to bisect
+    leaves: List[Tuple[float, float, float]] = []  # (bound, a, b)
+
+    def visit(t: float) -> None:
+        nonlocal best
+        r = t ** gamma
+        num, den = passes[t] = _running_sums(r, r, hi), _running_sums(t, 1.0, hi)
+        # Past its end, a list repeats its last entry.
+        ns, ds = window[t] = num[0][lo - 1:] or num[0][-1:], den[0][lo - 1:] or den[0][-1:]
+        if 0.0 < t < 1.0 and _max_ratio(ns, ds) >= best[0]:
+            vals = list(map(truediv, ns, ds)) + [n / ds[-1] for n in ns[len(ds):]]
+            v = max(vals)
+            best = max(best, (v, -(lo + vals.index(v)), -t))
+
+    def push(a: float, b: float) -> None:
+        bound = _max_ratio(window[b][0], window[a][1]) * (1.0 + _SLACK)
+        if bound <= best[0]:
+            return
+        if b - a <= _LEAF_WIDTH:
+            leaves.append((bound, a, b))
+        else:
+            heapq.heappush(cells, (-bound, a, b))
+
+    ends = [i / _START_CELLS for i in range(_START_CELLS + 1)]
+    for t in ends:
+        visit(t)
+    for a, b in zip(ends, ends[1:]):
+        push(a, b)
+    while cells:
+        neg, a, b = heapq.heappop(cells)
+        if -neg <= best[0]:
+            break  # every cell left is bounded as low
+        mid = 0.5 * (a + b)
+        visit(mid)
+        push(a, mid)
+        push(mid, b)
+    kept = sorted((a, b) for bound, a, b in leaves if bound > best[0])
+    return best, [(a, b, *passes[a], *passes[b]) for a, b in kept]
+
+
+def _no_op(l: int, leaf: tuple) -> bool:
+    # Term l and t^(l-1) at b lie below half an ulp of the (l-1)-term sums
+    # at a.  Terms rise and sums grow with t, so on all of [a, b] adding
+    # them changes neither sum, and R_l == R_(l-1) there in floats; the
+    # same then holds for every later l.
+    _, _, (nums, _), (dens, _), (_, terms), (_, powers) = leaf
+    return (_at(terms, l) < 0.5 * math.ulp(_at(nums, l - 1))
+            and _at(powers, l) < 0.5 * math.ulp(_at(dens, l - 1)))
+
+
+def _refine_l(gamma: float, l: int, runs: List[List[float]], tol: float) -> list:
+    # Brent's method for R_l on each run of leaves: (value, -l, -t) each.
+    found = []
+    for a, b in runs:
+        t, v = golden_section_max(lambda x: _ratio(x, gamma, l), a, b, tol)
+        found.append((v, -l, -t))
+    return found
+
+
+def _search(gamma: float, lo: int, hi: int, tol: float) -> Tuple[int, float, float]:
+    """Best ``(l, t, value)`` of R_l(t) over lo <= l <= hi and 0 < t < 1.
+
+    ``_prune`` keeps the leaves where some R_l may beat the best point
+    evaluated; each l from lo up is refined on the runs of adjacent
+    leaves where its own bound beats that value, until an l is a float
+    no-op on every leaf (``_no_op``).  The result is the best point
+    evaluated; ties go to the smaller l.
+    """
+    best, leaves = _prune(gamma, lo, hi)
+    cut = best[0]
+    for l in range(lo, hi + 1):
+        if l > lo and all(_no_op(l, leaf) for leaf in leaves):
+            break
+        runs: List[List[float]] = []
+        for a, b, _, (dens, _), (nums, _), _ in leaves:
+            # _at, inlined: this loop runs once per l and leaf.
+            n = nums[l - 1] if l <= len(nums) else nums[-1]
+            d = dens[l - 1] if l <= len(dens) else dens[-1]
+            if n / d * (1.0 + _SLACK) > cut:
+                if runs and runs[-1][1] == a:
+                    runs[-1][1] = b
+                else:
+                    runs.append([a, b])
+        best = max([best, *_refine_l(gamma, l, runs, tol)])
+    value, neg_l, neg_t = best
+    return -neg_l, -neg_t, value
+
+
 def maximize_over_t(gamma: float, l: int, tol: float = 1e-12) -> Tuple[float, float]:
     """Global maximum of the l-term ratio over t in (0, 1).
 
-    Returns ``(t_star, value)`` with value >= 1; when the interior never
-    exceeds the common endpoint limit 1 (gamma >= 1), the supremum 1 is
-    reported at t_star = 0.
+    The search of ``best_l`` on the window {l}.  Returns
+    ``(t_star, value)`` with value >= 1; when the interior stays below
+    the common endpoint limit 1 (gamma > 1), the supremum 1 is reported
+    at t_star = 0.  R_1 is identically 1 and is reported at an interior
+    point.
     """
-    return _refine_l(gamma, l, theta_ratio(GRID, gamma, l), tol)
-
-
-def _refine_l(
-    gamma: float, l: int, vals: np.ndarray, tol: float
-) -> Tuple[float, float]:
-    # Refine the l-term ratio from its values on GRID; a maximum below the
-    # endpoint limit 1 reports the supremum 1 at t_star = 0.
-    t_star, value = refine_grid_maxima(
-        lambda t: theta_ratio(t, gamma, l), vals, xtol=tol
-    )
+    if l < 1:
+        raise ValueError("l must be a positive integer")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    _, t_star, value = _search(gamma, l, l, tol)
     if value < 1.0:
         return 0.0, 1.0
     return t_star, value
@@ -134,36 +336,28 @@ def _refine_l(
 def best_l(gamma: float, tol: float = 1e-12) -> Tuple[int, float, float]:
     """Maximize the ratio jointly over t and the term count l.
 
-    Starts from ``(1, 0.0, 1.0)``, the 1-term ratio R_1 = 1, steps
-    l = 2 .. ceil(2/gamma) - 1, refines the l with l * gamma >= 1 and
-    returns ``(l_star, t_star, value)``; for gamma >= 1 nothing is
-    scanned.  Ties break toward smaller l.  Each refined l gives the
-    result of ``maximize_over_t(gamma, l, tol)``, bit for bit, from one
-    running sweep of the grid.  No l outside the window can win (module
-    docstring); the upper edge is attained at k = 1 (l_star = 2m + 1) for
-    every m <= 15 (checked at 60 significant digits).  Rounding never
-    drops an l that the exact rules keep: the float ceil(2/gamma) is
-    never below the exact ceil(2(m+1)/k) (checked for m, k <= 500), and
-    an l is skipped only if the float l * gamma < 1 - 1e-12, which a few
-    ulps of rounding cannot reach from l k >= m + 1.
+    Starts from ``(1, 0.0, 1.0)``, the 1-term ratio R_1 = 1, searches
+    the l with l * gamma >= 1 up to ceil(2/gamma) - 1 and returns
+    ``(l_star, t_star, value)``; for gamma >= 1 nothing is searched.
+    Ties break toward smaller l.  No l outside the window can win
+    (module docstring); the upper edge is attained at k = 1
+    (l_star = 2m + 1) for every m <= 15 (checked at 60 significant
+    digits).  Rounding never drops an l that the exact rules keep: the
+    float ceil(2/gamma) is never below the exact ceil(2(m+1)/k) (checked
+    for m, k <= 500), and an l is skipped only if the float
+    l * gamma < 1 - 1e-12, which a few ulps of rounding cannot reach
+    from l k >= m + 1.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    l_star, t_star, value = 1, 0.0, 1.0
-    q = r = GRID ** gamma
-    num = term = den = p = np.ones_like(GRID)
-    for l in range(2, math.ceil(2.0 / gamma)):
-        term = term * q
-        num = num + term
-        q = q * r
-        p = p * GRID
-        den = den + p
-        if l * gamma < 1.0 - 1e-12:
-            continue
-        t, v = _refine_l(gamma, l, num / den, tol)
-        if v > value:
-            l_star, t_star, value = l, t, v
-    return l_star, t_star, value
+    hi = math.ceil(2.0 / gamma) - 1
+    lo = next((l for l in range(2, hi + 1) if l * gamma >= 1.0 - 1e-12), hi + 1)
+    if lo > hi:
+        return 1, 0.0, 1.0
+    l_star, t_star, value = _search(gamma, lo, hi, tol)
+    if value > 1.0:
+        return l_star, t_star, value
+    return 1, 0.0, 1.0
 
 
 def chromatic_lower_bound(query: BoundQuery, tol: float = 1e-12) -> BoundResult:
@@ -190,7 +384,7 @@ def chromatic_lower_bound(query: BoundQuery, tol: float = 1e-12) -> BoundResult:
 
 def asymptotic_lower_bound(query: BoundQuery) -> float:
     """The closed-form rate GAMMA_CHI * sqrt((m + 1) / k)."""
-    return gamma_chi().value * math.sqrt((query.m + 1) / query.k)
+    return special_functions.gamma_chi().value * math.sqrt((query.m + 1) / query.k)
 
 
 def kupavskii_upper_base(m: int) -> float:

@@ -39,11 +39,11 @@ _DEFAULT_TOL = 1e-9
 _MIN_SERIES_K = 16
 
 # Input caps.  At the caps, one CLI run each on a shared 2-vCPU machine
-# (median of 3) took 0.7 s for bound --m 500, 1.1 s for table at 50 x 50,
-# and 0.4 s and 0.5 s for lattice-mu with leech and dn:64 at K = 8192;
-# larger inputs are usage errors rather than runs of hours.  --k shares
-# the cap of --m: for m <= MAX_M, every k > MAX_M has gamma = k / (m + 1)
-# >= 1 and the flagged trivial result.
+# took 0.11 s for bound --m 500 and 0.8 s for table at 50 x 50 (median
+# of 5), and 0.4 s and 0.5 s for lattice-mu with leech and dn:64 at
+# K = 8192 (median of 3); larger inputs are usage errors rather than
+# runs of hours.  --k shares the cap of --m: for m <= MAX_M, every
+# k > MAX_M has gamma = k / (m + 1) >= 1 and the flagged trivial result.
 MAX_M = 500
 MAX_TABLE_M = 50
 MAX_TABLE_K = 50

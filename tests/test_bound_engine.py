@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
 from chromabound import bound_engine
+from chromabound.optimize import GRID
 from chromabound import (
     BoundQuery,
     asymptotic_lower_bound,
@@ -14,6 +16,7 @@ from chromabound import (
     one_minus_t_theta_max,
     table,
     theta_ratio,
+    theta_truncated,
 )
 
 
@@ -22,6 +25,43 @@ def direct_ratio(t, gamma, l):
     num = sum(t ** (gamma * j * (j - 1) / 2.0) for j in range(1, l + 1))
     den = sum(t ** i for i in range(l))
     return num / den
+
+
+def full_sums(t, gamma, top):
+    """N_l(t) and D_l(t) for l = 1 .. top with the float operations of
+    theta_ratio, every term added."""
+    r = t ** gamma
+    q = r
+    num = term = den = p = 1.0
+    nums, dens = [num], [den]
+    for _ in range(top - 1):
+        term = term * q
+        num = num + term
+        q = q * r
+        p = p * t
+        den = den + p
+        nums.append(num)
+        dens.append(den)
+    return nums, dens
+
+
+@pytest.fixture
+def search_log(monkeypatch):
+    """The l that best_l refines, and the (args, result) of its _prune call."""
+    refined, pruned = [], []
+    refine, prune = bound_engine._refine_l, bound_engine._prune
+
+    def counting(gamma, l, runs, tol):
+        refined.append(l)
+        return refine(gamma, l, runs, tol)
+
+    def keeping(*args):
+        pruned.append((args, prune(*args)))
+        return pruned[-1][1]
+
+    monkeypatch.setattr(bound_engine, "_refine_l", counting)
+    monkeypatch.setattr(bound_engine, "_prune", keeping)
+    return refined, pruned
 
 
 class TestThetaRatio:
@@ -58,6 +98,14 @@ class TestMaximizeOverT:
         _, value = maximize_over_t(0.5, 1)
         assert value == 1.0
 
+    @pytest.mark.parametrize("gamma", [1.0 / 11.0, 0.5, 1.5])
+    def test_l_one_reports_an_interior_point(self, gamma):
+        # Callers raise t_star to negative powers (criterion 6.5), so the
+        # tie of R_1 = 1 must not resolve to t = 0.
+        t_star, value = maximize_over_t(gamma, 1)
+        assert 0.0 < t_star < 1.0
+        assert value == 1.0
+
     def test_nontrivial_near_gamma_one(self):
         _, value = maximize_over_t(0.99, 2)
         assert value > 1.0
@@ -89,21 +137,22 @@ class TestBestL:
     @pytest.mark.parametrize(
         "m, k", [(1, 1), (2, 1), (2, 2), (5, 2), (10, 1), (10, 7), (100, 1), (200, 1)]
     )
-    def test_scans_exactly_the_proven_window(self, monkeypatch, m, k):
-        # l = max(2, ceil((m+1)/k)) .. ceil(2(m+1)/k) - 1, and nothing outside
-        # it; R_1 is identically 1.  Refining from l = 2 gave a float-noise
-        # l_star below the window: 73 at m = 100 and 104 at m = 200.
-        scanned = []
-        original = bound_engine._refine_l
-
-        def counting(gamma, l, vals, tol):
-            scanned.append(l)
-            return original(gamma, l, vals, tol)
-
-        monkeypatch.setattr(bound_engine, "_refine_l", counting)
+    def test_scans_exactly_the_proven_window(self, search_log, m, k):
+        # The refined l run upward from the lower edge max(2, ceil((m+1)/k))
+        # and stay below ceil(2(m+1)/k); R_1 is identically 1.  Refining
+        # from l = 2 gave a float-noise l_star below the window: 73 at
+        # m = 100 and 104 at m = 200.  Every l above the last refined one
+        # is a float no-op on every leaf, and the last refined one is not.
+        lo, hi = max(2, -(-(m + 1) // k)), -(-2 * (m + 1) // k) - 1
+        refined, pruned = search_log
         l_star, _, _ = best_l(k / (m + 1))
-        assert scanned == list(range(max(2, -(-(m + 1) // k)), -(-2 * (m + 1) // k)))
-        assert scanned[0] <= l_star <= scanned[-1]
+        assert refined == list(range(lo, lo + len(refined)))
+        assert refined[-1] <= hi
+        assert lo <= l_star <= refined[-1]
+        ((_, _, top), (_, leaves)), = pruned
+        assert top == hi
+        no_op = [all(bound_engine._no_op(l, leaf) for leaf in leaves) for l in range(lo + 1, hi + 1)]
+        assert no_op == [False] * (len(refined) - 1) + [True] * (hi - refined[-1])
 
     @pytest.mark.parametrize(
         "gamma",
@@ -125,6 +174,69 @@ class TestBestL:
     @pytest.mark.parametrize("gamma", [1.0, 1.5, 3.0])
     def test_trivial_for_gamma_at_least_one(self, gamma):
         assert best_l(gamma) == (1, 0.0, 1.0)
+
+
+class TestSearchProofs:
+    """The three facts the pure-Python search of best_l rests on."""
+
+    def test_full_sums_mirror_theta_ratio(self):
+        for t in (0.0, 0.1, 0.5, 0.97, 1.0):
+            for gamma, l in ((0.3, 6), (1.0 / 51.0, 101)):
+                nums, dens = full_sums(t, gamma, l)
+                assert nums[-1].hex() == theta_truncated(t, gamma, l).hex()
+                assert (nums[-1] / dens[-1]).hex() == theta_ratio(t, gamma, l).hex()
+
+    @pytest.mark.parametrize("gamma", [1.0 / 501.0, 1.0 / 51.0, 1.0 / 3.0, 0.9])
+    def test_cell_bound_holds(self, gamma):
+        # R_l(t) <= N_l(b) / D_l(a) on [a, b], times (1 + _SLACK), for every
+        # l up to the window's top (1002 at gamma = 1/501) and at dense
+        # samples of cells of several widths, at both ends of [0, 1] and
+        # at random.
+        rng = random.Random(18)
+        top = math.ceil(2.0 / gamma) - 1
+        slack = 1.0 + bound_engine._SLACK
+        for width in (2.0 ** -9, 2.0 ** -6, 2.0 ** -3, 0.5):
+            for a in [0.0, 1.0 - width] + [rng.uniform(0.0, 1.0 - width) for _ in range(5)]:
+                b = a + width
+                nb, _ = bound_engine._running_sums(b ** gamma, b ** gamma, top)
+                da, _ = bound_engine._running_sums(a, 1.0, top)
+                bounds = [bound_engine._at(nb, l) / bound_engine._at(da, l) * slack for l in range(1, top + 1)]
+                for i in range(17):
+                    t = a + (b - a) * i / 16.0 if i < 16 else b
+                    nums, dens = full_sums(t, gamma, top)
+                    assert all(n / d <= bd for n, d, bd in zip(nums, dens, bounds)), (a, b, t)
+
+    @pytest.mark.parametrize("gamma", [1.0 / 501.0, 1.0 / 51.0, 0.3])
+    def test_early_stopped_sums_equal_full_sums(self, gamma):
+        rng = random.Random(53)
+        top = math.ceil(2.0 / gamma) - 1
+        grid = GRID.tolist()[:: 16 if top > 500 else 1]
+        points = grid + [0.0, 1.0, 1.0 - 2.0 ** -53] + [rng.random() for _ in range(64)]
+        ls = sorted({1, 2, max(2, math.ceil(1.0 / gamma)), top})
+        def padded(values):
+            return list(map(float.hex, values + values[-1:] * (top - len(values))))
+
+        for t in points:
+            nums, dens = full_sums(t, gamma, top)
+            early_nums, _ = bound_engine._running_sums(t ** gamma, t ** gamma, top)
+            early_dens, _ = bound_engine._running_sums(t, 1.0, top)
+            assert padded(early_nums) == list(map(float.hex, nums))
+            assert padded(early_dens) == list(map(float.hex, dens))
+            for l in ls:
+                assert bound_engine._ratio(t, gamma, l).hex() == (nums[l - 1] / dens[l - 1]).hex()
+
+    @pytest.mark.parametrize("m", [50, 100, 500])
+    def test_skipped_l_repeat_the_last_refined_bit_for_bit(self, search_log, m):
+        gamma = 1.0 / (m + 1)
+        refined, pruned = search_log
+        best_l(gamma)
+        ((_, _, hi), (_, leaves)), = pruned
+        assert refined[-1] < hi
+        for a, b, *_ in leaves:
+            for t in (a, a + 0.25 * (b - a), a + 0.5 * (b - a), a + 0.75 * (b - a), b):
+                nums, dens = full_sums(t, gamma, hi)
+                ratios = [n / d for n, d in zip(nums, dens)]
+                assert len(set(ratios[refined[-1] - 1:])) == 1, t
 
 
 class TestChromaticLowerBound:
