@@ -1,7 +1,8 @@
 """Brent's method for a scalar maximum on a bracket, in pure Python.
 
 The module does not import numpy, so a command that only refines
-scalar objectives (``bound``, ``table``) never loads it.
+scalar objectives (``bound``, ``table``, ``constants``, ``verify``)
+never loads it.
 ``optimize`` re-exports ``golden_section_max`` for its grid search.
 """
 

@@ -182,8 +182,8 @@ def constants(tol: float, fmt: str, output: Optional[str]) -> None:
         "gamma_chi": gc.value,
         "u_star": gc.u_star,
         "inner_max": gc.inner_max,
-        "inv_sqrt_2": lattice_theta.INV_SQRT_2,
-        "sqrt3_over_2": lattice_theta.SQRT3_OVER_2,
+        "inv_sqrt_2": special_functions.INV_SQRT_2,
+        "sqrt3_over_2": special_functions.SQRT3_OVER_2,
         "kupavskii_base_m1": bound_engine.kupavskii_upper_base(1),
     }
     _deliver(_render_records([record], fmt, tol, "constants"), output)

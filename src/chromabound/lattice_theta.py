@@ -33,22 +33,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Tuple
+from typing import TYPE_CHECKING, Callable, List, Tuple
 
 import numpy as np
 
 from .lattice_combinatorics import _sparse_power
 from .optimize import GRID, refine_grid_maxima
 from .special_functions import (
-    ArrayLike,
+    SQRT3_OVER_2,
     check_unit_interval,
     full_like,
     jacobi_theta,
     jacobi_theta_and_tail,
 )
 
-SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
-INV_SQRT_2 = 1.0 / math.sqrt(2.0)
+if TYPE_CHECKING:
+    from .special_functions import ArrayLike
 
 DEFAULT_SERIES_LENGTH = 512
 

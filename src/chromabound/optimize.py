@@ -6,9 +6,11 @@ re-exported here; the name is older than the parabolic steps).
 Unimodality is never assumed: several distinct local grid maxima are
 refined and the best refined point wins.  ``maximize_on_unit_interval``
 is the scan followed by ``refine_grid_maxima``; a caller that already
-holds the scanned values passes them to the refinement directly.  The
-numpy layers search this way (``special_functions``, ``lattice_theta``);
-``bound_engine`` has a pure-Python search of its own.
+holds the scanned values passes them to the refinement directly, as
+``lattice_theta``'s ``mu`` search does.  ``bound_engine`` and
+``special_functions.one_minus_t_theta_max`` search in pure Python by
+branch and bound instead, so the commands built on them never load
+numpy.
 """
 
 from __future__ import annotations

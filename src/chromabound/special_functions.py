@@ -20,25 +20,35 @@ checks that same evaluator against the direct sum.  The growth constant
 
 is the asymptotic rate extracted from it.
 
-All evaluators accept a float or an ndarray for the series argument.
-A float (or any 0-d argument) returns a Python float, and an ndarray
-returns an ndarray of the same shape; ``jacobi_theta_and_tail``
-returns the Jacobi value and a bound on its truncation remainder, each
-of that type.  The evaluators are pure functions of their arguments and
-hold no shared state.
+The public evaluators accept a float or an ndarray for the series
+argument.  A float or an int (or any 0-d argument) returns a Python
+float, and an ndarray returns an ndarray of the same shape;
+``jacobi_theta_and_tail`` returns the Jacobi value and a bound on its
+truncation remainder, each of that type.  The evaluators are pure
+functions of their arguments and hold no shared state.
+
+numpy is imported only inside the array branches, each reached with an
+ndarray already in hand, so a command that evaluates floats only
+(``constants``, ``verify``) never loads it; ``one_minus_t_theta_max``
+is a pure-Python search.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import TYPE_CHECKING, List, Tuple, Union
 
-import numpy as np
+from .brent import golden_section_max
 
-from .optimize import maximize_on_unit_interval
+if TYPE_CHECKING:
+    import numpy as np
 
-ArrayLike = Union[float, np.ndarray]
+    ArrayLike = Union[float, np.ndarray]
+
+SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
+INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 #: Stop a series once the next term falls below this fraction of the sum.
 _TERM_CUTOFF = 1e-18
@@ -50,6 +60,14 @@ _MODULAR_SWITCH = math.exp(-math.pi)
 
 #: Relative remainder allowed in the direct sum of ``_theta_of_power``.
 _OBJECTIVE_TAIL_TOL = 1e-14
+
+# The cells of the search in ``one_minus_t_theta_max``, with the values
+# of ``bound_engine``'s: equal start cells of [0, 1), the width below
+# which a cell is no longer bisected, and the relative margin on a cell
+# bound (a cell is dropped only when bound * (1 + _SLACK) <= best).
+_START_CELLS = 8
+_LEAF_WIDTH = 2.0 ** -6
+_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,13 +89,15 @@ def check_unit_interval(t: ArrayLike, hi_open: bool, name: str = "t") -> ArrayLi
     A 0-d argument comes back as a Python float and anything else as a
     float ndarray, so one evaluator body runs Python arithmetic on the
     first and numpy arithmetic on the second.  NaN lies in neither
-    interval.  A Python float is checked by plain comparisons, without
-    the numpy round trip.
+    interval.  A Python float or int is checked by plain comparisons,
+    without the numpy round trip, so it never loads numpy.
     """
-    if type(t) is float:
-        arr = t
-        ok = 0.0 <= t and (t < 1.0 if hi_open else t <= 1.0)
+    if type(t) is float or type(t) is int:
+        arr = float(t)
+        ok = 0.0 <= arr and (arr < 1.0 if hi_open else arr <= 1.0)
     else:
+        import numpy as np
+
         arr = np.asarray(t, dtype=float)
         if arr.ndim == 0:
             arr = float(arr)
@@ -90,7 +110,11 @@ def check_unit_interval(t: ArrayLike, hi_open: bool, name: str = "t") -> ArrayLi
 
 def full_like(t: ArrayLike, value: float) -> ArrayLike:
     """``value`` as a float for a float ``t``, else as an array shaped like ``t``."""
-    return value if isinstance(t, float) else np.full_like(t, value)
+    if isinstance(t, float):
+        return value
+    import numpy as np
+
+    return np.full_like(t, value)
 
 
 # A float argument gives plain bools, which skip the microsecond cost of
@@ -179,6 +203,8 @@ def jacobi_theta_and_tail(kind: int, q: ArrayLike) -> Tuple[ArrayLike, ArrayLike
         w, sign = q, (1.0 if kind == 3 else -1.0)
     pos = None  # a float never compacts
     if not isinstance(q, float):
+        import numpy as np
+
         # Flat working arrays of the live points, at positions pos of the
         # value and remainder arrays.
         pos, value, rem = np.arange(q.size), np.empty(q.size), np.empty(q.size)
@@ -213,14 +239,16 @@ def jacobi_theta(kind: int, q: ArrayLike) -> ArrayLike:
     return jacobi_theta_and_tail(kind, q)[0]
 
 
-def _theta_modular(x: ArrayLike) -> ArrayLike:
+def _theta_modular(x: float) -> float:
     """theta(e^(-pi x)) = e^(pi x/8)/sqrt(2x) * theta4(e^(-2 pi/x)) for x > 0."""
-    exp, sqrt = (math.exp, math.sqrt) if isinstance(x, float) else (np.exp, np.sqrt)
-    return exp(math.pi * x / 8.0) / sqrt(2.0 * x) * jacobi_theta(4, exp(-2.0 * math.pi / x))
+    return (
+        math.exp(math.pi * x / 8.0) / math.sqrt(2.0 * x)
+        * jacobi_theta(4, math.exp(-2.0 * math.pi / x))
+    )
 
 
-def _theta_of_power(t: ArrayLike, gamma: float) -> ArrayLike:
-    """theta(s) at s = t^gamma for t in [0, 1), with x = -ln(s)/pi.
+def _theta_of_power(t: float, gamma: float) -> float:
+    """theta(s) at s = t^gamma for a float t in [0, 1), with x = -ln(s)/pi.
 
     Each point is summed on the side of the functional equation that
     ends within a few terms there; the switch ``s = e^-pi`` (x = 1)
@@ -234,21 +262,13 @@ def _theta_of_power(t: ArrayLike, gamma: float) -> ArrayLike:
       terms of its series.
 
     x is taken as -gamma ln(t)/pi rather than from the rounded s, which
-    would cost relative accuracy ~1e-16/x as t nears 1.  A float gives a
-    float and an array an array of its shape; each array point is summed
-    on its own side.
+    would cost relative accuracy ~1e-16/x as t nears 1.
     """
     t = check_unit_interval(t, hi_open=True)
     s = t ** gamma
-    if isinstance(t, float):
-        if s <= _MODULAR_SWITCH:
-            return theta_full(s, 1.0, _OBJECTIVE_TAIL_TOL)
-        return _theta_modular(-gamma * math.log(t) / math.pi)
-    direct = s <= _MODULAR_SWITCH
-    out = np.empty_like(s)
-    out[direct] = theta_full(s[direct], 1.0, _OBJECTIVE_TAIL_TOL)
-    out[~direct] = _theta_modular(-gamma * np.log(t[~direct]) / math.pi)
-    return out
+    if s <= _MODULAR_SWITCH:
+        return theta_full(s, 1.0, _OBJECTIVE_TAIL_TOL)
+    return _theta_modular(-gamma * math.log(t) / math.pi)
 
 
 def functional_equation_residual(x: float) -> float:
@@ -292,20 +312,90 @@ def gamma_chi(tol: float = 1e-12) -> GammaChiResult:
 
 
 def one_minus_t_theta_max(gamma: float, tol: float = 1e-12) -> Tuple[float, float]:
-    """Global maximum of (1 - t) * theta(t^gamma) over t in (0, 1).
+    """Supremum of (1 - t) * theta(t^gamma) over t in (0, 1).
 
-    Returns ``(t_star, value)`` from ``maximize_on_unit_interval`` (grid
-    scan plus Brent refinement); the objective exceeds 1 for
-    gamma < 1.  theta(t^gamma) comes from the functional equation: the
-    direct sum where t^gamma <= e^-pi (at most 5 terms) and
+    Returns ``(t_star, value)``.  For gamma >= 1 the supremum is the
+    t -> 0 limit 1, reported at t_star = 0: term by term
+    theta(t^gamma) <= theta(t) = sum t^(j(j-1)/2) <= sum t^(j-1) =
+    1/(1-t), since j(j-1)/2 >= j - 1.  For gamma < 1 the objective
+    exceeds 1 and is maximized by a best-first bisection of [0, 1), by
+    the rules of ``bound_engine``'s search: ``_START_CELLS`` equal
+    cells, bisected down to ``_LEAF_WIDTH``, and a cell is dropped once
+    its bound, times 1 + ``_SLACK``, is at most the best value
+    evaluated.  Two proven cell bounds:
+
+    - on [a, b] with b < 1,  (1-t) theta(t^gamma) <= (1-a) theta(b^gamma),
+      since theta rises with its argument and 1 - t falls;
+    - on [a, 1),  (1-t) theta(t^gamma) <= (1-a) + sqrt(pi (1-a) / (2 gamma)),
+      since theta(s) <= 1 + sum_{n >= 1} e^(-lam n^2/2) <= 1 + sqrt(pi/(2 lam))
+      with lam = -ln s = -gamma ln t >= gamma (1-t).
+
+    The slack also covers the float seam at s = e^-pi, where the
+    evaluator switches sides.  Brent's method (``golden_section_max``,
+    down to ``tol``) refines each run of adjacent surviving leaves; the
+    result is the best point evaluated, ties going to the smaller t.
+
+    theta(t^gamma) comes from the functional equation: the direct sum
+    where t^gamma <= e^-pi (at most 5 terms) and
     e^(pi x/8)/sqrt(2x) * theta4(e^(-2 pi/x)), x = -gamma ln(t)/pi,
     above it (at most 3 theta4 terms), so no point sums the thousands
     of terms the direct series needs as t nears 1.
     """
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects nan
         raise ValueError("gamma must be positive")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    return maximize_on_unit_interval(
-        lambda t: (1.0 - t) * _theta_of_power(t, gamma), xtol=tol
-    )
+    if gamma >= 1.0:
+        return 0.0, 1.0
+
+    def f(t: float) -> float:
+        return (1.0 - t) * _theta_of_power(t, gamma)
+
+    theta = {}  # theta(t^gamma) at each end evaluated
+    best = (-math.inf, -0.0)  # (value, -t): ties go to the smaller t
+    cells: List[Tuple[float, float, float]] = []  # (-bound, a, b), to bisect
+    leaves: List[Tuple[float, float, float]] = []  # (bound, a, b)
+
+    def visit(t: float) -> None:
+        nonlocal best
+        theta[t] = _theta_of_power(t, gamma)
+        if t > 0.0:
+            best = max(best, ((1.0 - t) * theta[t], -t))
+
+    def push(a: float, b: float) -> None:
+        if b < 1.0:
+            bound = (1.0 - a) * theta[b]
+        else:
+            bound = (1.0 - a) + math.sqrt(math.pi * (1.0 - a) / (2.0 * gamma))
+        bound *= 1.0 + _SLACK
+        if bound <= best[0]:
+            return
+        if b - a <= _LEAF_WIDTH:
+            leaves.append((bound, a, b))
+        else:
+            heapq.heappush(cells, (-bound, a, b))
+
+    ends = [i / _START_CELLS for i in range(_START_CELLS + 1)]
+    for t in ends[:-1]:
+        visit(t)
+    for a, b in zip(ends, ends[1:]):
+        push(a, b)
+    while cells:
+        neg, a, b = heapq.heappop(cells)
+        if -neg <= best[0]:
+            break  # every cell left is bounded as low
+        mid = 0.5 * (a + b)
+        visit(mid)
+        push(a, mid)
+        push(mid, b)
+    runs: List[List[float]] = []
+    for a, b in sorted((a, b) for bound, a, b in leaves if bound > best[0]):
+        if runs and runs[-1][1] == a:
+            runs[-1][1] = b
+        else:
+            runs.append([a, b])
+    for a, b in runs:
+        t, v = golden_section_max(f, a, b, tol)
+        best = max(best, (v, -t))
+    value, neg_t = best
+    return -neg_t, value

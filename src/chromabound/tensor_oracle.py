@@ -13,11 +13,12 @@ sqrt(2p) * {1, sqrt(2), ..., sqrt(m)}.
 
 Everything here favors exhaustive enumeration over cleverness; these
 are correctness oracles with deliberately small domains, not production
-paths.  S_k is enumerated in one place, a cached integer array of its
-non-k-cycles that holds each one's images, sign and cycle labels (the
-smallest element of each point's cycle); the indicator is one masked
-sum of its signs per coincidence pattern, and the partition expansion
-groups its rows by cycle labels.
+paths.  S_k is enumerated in one place, a cached table of its
+non-k-cycles grouped by cycle partition: each partition's cycle labels
+(the smallest element of each point's cycle) with the signed count of
+its permutations.  The partition expansion reads its coefficients off
+that table, and the indicator of a coincidence pattern sums the counts
+of the partitions on whose blocks the pattern is constant.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Sequence, Tuple
-
-import numpy as np
 
 from .lattice_combinatorics import count_box, is_prime, next_prime
 
@@ -68,32 +67,41 @@ class SetPartition:
 
 
 @lru_cache(maxsize=None)
-def _non_k_cycles(k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Every non-k-cycle of S_k acting on {0, ..., k-1}, one row each:
-    # its images, its sign, and for each point i the smallest element of
-    # i's cycle, the running minimum of i, sigma(i), ..., sigma^(k-1)(i)
-    # over k - 1 vectorized compositions.
-    images = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
-    label, orbit = np.arange(k), images
-    for _ in range(k - 1):
-        label = np.minimum(label, orbit)
-        orbit = np.take_along_axis(images, orbit, axis=1)
-    n_cycles = np.count_nonzero(label == np.arange(k), axis=1)
-    keep = n_cycles > 1
-    signs = np.where((k - n_cycles) % 2, -1, 1)
-    out = (images[keep], signs[keep], label[keep])
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+def _cycle_partitions(k: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    # The non-k-cycles of S_k acting on {0, ..., k-1}, grouped by cycle
+    # partition: (labels, signed count) per partition in order of labels,
+    # where labels[i] is the smallest element of i's cycle.  One walk per
+    # cycle labels it: cycles are entered at their first point not yet
+    # labelled in increasing order, which is their smallest.  The
+    # permutations of one partition share a cycle type, hence a sign, so
+    # no count is 0.
+    sums: Dict[Tuple[int, ...], int] = {}
+    for images in itertools.permutations(range(k)):
+        labels = [-1] * k
+        n_cycles = 0
+        for i in range(k):
+            if labels[i] < 0:
+                n_cycles += 1
+                j = i
+                while labels[j] < 0:
+                    labels[j] = i
+                    j = images[j]
+        if n_cycles > 1:
+            key = tuple(labels)
+            sums[key] = sums.get(key, 0) + (-1 if (k - n_cycles) % 2 else 1)
+    return tuple(sorted(sums.items()))
 
 
 @lru_cache(maxsize=None)
 def _pattern_indicator(pattern: Tuple[int, ...]) -> int:
-    # Signed count of the non-k-cycles constant on every cycle, i.e. with
-    # pattern[sigma(i)] == pattern[i] for all i.
-    images, signs, _ = _non_k_cycles(len(pattern))
-    p = np.array(pattern)
-    return int(signs[(p[images] == p).all(axis=1)].sum())
+    # Signed count of the non-k-cycles with pattern[sigma(i)] == pattern[i]
+    # for all i, i.e. whose every cycle lies in one block of the pattern,
+    # i.e. with pattern[labels[i]] == pattern[i] for all i.
+    return sum(
+        count
+        for labels, count in _cycle_partitions(len(pattern))
+        if all(pattern[j] == p for j, p in zip(labels, pattern))
+    )
 
 
 def distinctness_indicator(labels: Sequence) -> int:
@@ -103,8 +111,8 @@ def distinctness_indicator(labels: Sequence) -> int:
     coincide, and (-1)^k (k-1)! when all k labels are equal.  Labels are
     compared by equality only (they need not be hashable) to find the
     coincidence pattern, the index of the first equal label for each
-    position; the exhaustive sum over S_k runs once per pattern.
-    Feasible for 2 <= k <= 7.
+    position; the sum over the cycle partitions of S_k runs once per
+    pattern.  Feasible for 2 <= k <= 7.
     """
     k = len(labels)
     if not 2 <= k <= 7:
@@ -125,15 +133,10 @@ def partition_coefficients(k: int) -> Dict[SetPartition, int]:
     """
     if not 2 <= k <= 7:
         raise ValueError("k must be between 2 and 7")
-    _, signs, labels = _non_k_cycles(k)
-    rows, group = np.unique(labels, axis=0, return_inverse=True)
-    sums = np.zeros(len(rows), dtype=np.int64)
-    np.add.at(sums, group.reshape(-1), signs)
     out: Dict[SetPartition, int] = {}
-    for row, total in zip(rows.tolist(), sums.tolist()):
-        if total:
-            blocks = ({i + 1 for i, c in enumerate(row) if c == lead} for lead in set(row))
-            out[SetPartition.of(blocks)] = total
+    for labels, count in _cycle_partitions(k):
+        blocks = ({i + 1 for i, c in enumerate(labels) if c == lead} for lead in set(labels))
+        out[SetPartition.of(blocks)] = count
     return out
 
 

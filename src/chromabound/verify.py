@@ -14,6 +14,7 @@ one of two kinds:
   the detail whether it passes or not.
 
 Randomized sweeps use fixed seeds so repeated runs are identical.
+Sample points are Python lists of floats, so no suite loads numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
-
-import numpy as np
 
 from . import _SUITES, bound_engine, lattice_combinatorics as combi, special_functions, tensor_oracle
 
@@ -49,6 +48,18 @@ def _suite(name: str) -> Callable[[Callable], Callable]:
     return register
 
 
+def _linspace(start: float, stop: float, num: int) -> List[float]:
+    # ``num`` equispaced floats from start to stop, bit for bit those of
+    # numpy.linspace: start + i * step, and stop itself last.
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
+
+
+def _argmin(values: List[float]) -> int:
+    # Index of the first smallest value.
+    return min(range(len(values)), key=values.__getitem__)
+
+
 def run_check(suite: str, check: Callable) -> CheckResult:
     outcome = check()
     if isinstance(outcome, tuple):
@@ -62,10 +73,10 @@ def run_check(suite: str, check: Callable) -> CheckResult:
 @_suite("theta")
 def functional_equation_residual():
     worst_x, worst = 0.0, 0.0
-    for x in np.logspace(math.log10(0.1), math.log10(10.0), 50):
-        r = special_functions.functional_equation_residual(float(x))
+    for x in (10.0 ** e for e in _linspace(math.log10(0.1), math.log10(10.0), 50)):
+        r = special_functions.functional_equation_residual(x)
         if r > worst:
-            worst_x, worst = float(x), r
+            worst_x, worst = x, r
     return worst < 1e-10, f"max residual {worst:.3e} at x = {worst_x:.4f}"
 
 
@@ -82,21 +93,21 @@ def truncation_monotone_below_full():
                 prev = cur
 
 
-_QS = np.linspace(0.0, 0.999, 200)
+_QS = _linspace(0.0, 0.999, 200)
 
 
 @_suite("theta")
 def theta3_dominates_theta4():
-    dominance = special_functions.jacobi_theta(3, _QS) - special_functions.jacobi_theta(4, _QS)
-    i = int(np.argmin(dominance))
+    dominance = [special_functions.jacobi_theta(3, q) - special_functions.jacobi_theta(4, q) for q in _QS]
+    i = _argmin(dominance)
     return dominance[i] >= -1e-15, f"min theta3 - theta4 {dominance[i]:.3e} at q = {_QS[i]:.4f}"
 
 
 @_suite("theta")
 def theta4_alternating_bracket():
-    t4 = special_functions.jacobi_theta(4, _QS)
-    bracket = np.minimum(t4 - (1 - 2 * _QS), 1 - 2 * _QS + 2 * _QS ** 4 - t4)
-    i = int(np.argmin(bracket))
+    t4 = [special_functions.jacobi_theta(4, q) for q in _QS]
+    bracket = [min(v - (1 - 2 * q), 1 - 2 * q + 2 * q ** 4 - v) for q, v in zip(_QS, t4)]
+    i = _argmin(bracket)
     return bracket[i] >= -1e-12, f"min bracket margin {bracket[i]:.3e} at q = {_QS[i]:.4f}"
 
 
@@ -110,11 +121,11 @@ def gamma_chi_stationarity():
 def one_minus_t_theta_max_floor():
     gc = special_functions.gamma_chi().value
     worst_gamma, worst = 0.0, math.inf
-    for gamma in np.linspace(0.05, 1.0, 20):
-        _, value = special_functions.one_minus_t_theta_max(float(gamma), 1e-10)
+    for gamma in _linspace(0.05, 1.0, 20):
+        _, value = special_functions.one_minus_t_theta_max(gamma, 1e-10)
         margin = value - gc / math.sqrt(gamma)
         if margin < worst:
-            worst_gamma, worst = float(gamma), margin
+            worst_gamma, worst = gamma, margin
     return worst >= -1e-9, f"min margin {worst:.3e} at gamma = {worst_gamma:.3f}"
 
 
@@ -195,7 +206,7 @@ def gf_bound_dominates_count():
         for l in range(0, 5):
             for d in range(0, n * l + 1, max(1, n * l // 6)):
                 count = combi.count_box(n, l, d)
-                bound = min(combi.gf_upper_bound(n, l, d, t) for t in np.linspace(0.05, 0.95, 19))
+                bound = min(combi.gf_upper_bound(n, l, d, t) for t in _linspace(0.05, 0.95, 19))
                 if count > bound * (1 + 1e-12):
                     yield f"n={n} l={l} d={d}: {count} > {bound}"
 

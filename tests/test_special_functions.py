@@ -265,11 +265,26 @@ class TestOneMinusTThetaMax:
         assert seen and max(seen) <= _MODULAR_SWITCH
 
     def test_matches_direct_sum_maximization(self):
-        for gamma in np.linspace(0.05, 1.0, 20):
+        for gamma in np.linspace(0.05, 1.0, 20)[:-1]:
             _, direct = maximize_on_unit_interval(
                 lambda t: (1.0 - t) * theta_full(t, float(gamma), 1e-14), xtol=1e-12
             )
             assert one_minus_t_theta_max(float(gamma))[1] == pytest.approx(direct, rel=1e-14)
+        # At gamma = 1 the supremum is the t -> 0 limit, which no grid
+        # point reaches.
+        assert one_minus_t_theta_max(1.0) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("gamma", [1.5, 3.0])
+    def test_gamma_at_least_one_gives_the_limit_at_zero(self, gamma):
+        # (1 - t) theta(t^gamma) <= (1 - t) / (1 - t) = 1 term by term.
+        assert one_minus_t_theta_max(gamma) == (0.0, 1.0)
+        for t in (1e-6, 0.01, 0.5, 0.99):
+            assert (1.0 - t) * theta_full(t, gamma) <= 1.0
+
+    @pytest.mark.parametrize("gamma, tol", [(0.0, 1e-12), (math.nan, 1e-12), (0.5, 0.0), (0.5, math.nan)])
+    def test_rejects_bad_arguments(self, gamma, tol):
+        with pytest.raises(ValueError, match="must be positive"):
+            one_minus_t_theta_max(gamma, tol)
 
     def test_maximizer_is_a_critical_point(self):
         t_star, value = one_minus_t_theta_max(0.5)
@@ -293,7 +308,6 @@ _E8 = e8_series(64)
         pytest.param(lambda t, g: jacobi_theta(2, t), 1e-12, id="jacobi_theta-2"),
         pytest.param(lambda t, g: jacobi_theta(3, t), 1e-12, id="jacobi_theta-3"),
         pytest.param(lambda t, g: jacobi_theta(4, t), 1e-12, id="jacobi_theta-4"),
-        pytest.param(lambda t, g: _theta_of_power(t, g), 1e-14, id="_theta_of_power"),
     ],
 )
 def test_scalar_array_contract(f, rel, gamma):
@@ -303,7 +317,7 @@ def test_scalar_array_contract(f, rel, gamma):
     pow), and an array keeps summing theta_full until every point has
     converged, hence the tolerances.
     """
-    for t in (0.0, 0.3, np.float64(0.3), np.array(0.3)):
+    for t in (0, 0.0, 0.3, np.float64(0.3), np.array(0.3)):
         assert type(f(t, gamma)) is float
     ts = np.linspace(0.0, 1.0, 4096, endpoint=False)
     for arr in (ts, ts.reshape(64, 64), np.zeros(5)):
@@ -314,20 +328,21 @@ def test_scalar_array_contract(f, rel, gamma):
 
 
 class TestCheckUnitInterval:
-    @pytest.mark.parametrize("t", [0.0, 0.3, np.float64(0.3), np.array(0.3), 1.0])
+    @pytest.mark.parametrize("t", [0.0, 0.3, np.float64(0.3), np.array(0.3), 1.0, 0, 1])
     def test_scalar_comes_back_as_python_float(self, t):
         assert type(check_unit_interval(t, hi_open=False)) is float
         assert check_unit_interval(t, hi_open=False) == float(t)
 
     @pytest.mark.parametrize("hi_open", [False, True])
     def test_every_path_accepts_and_rejects_the_same_values(self, hi_open):
-        # A Python float takes plain comparisons; np.float64, a 0-d array
-        # and a 1-d array take numpy's.
-        values = [-1e-300, -0.0, 0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0,
-                  math.nextafter(1.0, 2.0), math.inf, -math.inf, math.nan]
+        # A Python float or int takes plain comparisons; np.float64, a 0-d
+        # array and a 1-d array take numpy's.
+        values = [-1.0, -1e-300, -0.0, 0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0,
+                  math.nextafter(1.0, 2.0), 2.0, math.inf, -math.inf, math.nan]
         for v in values:
             outcomes = set()
-            for arg in (v, np.float64(v), np.array(v), np.array([0.5, v])):
+            ints = [int(v)] if math.isfinite(v) and v == int(v) else []
+            for arg in (v, *ints, np.float64(v), np.array(v), np.array([0.5, v])):
                 try:
                     check_unit_interval(arg, hi_open)
                     outcomes.add(True)

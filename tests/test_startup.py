@@ -41,19 +41,25 @@ print(json.dumps({
 """
 
 
-def fresh(argv):
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter and parse the JSON it prints."""
     src = str(Path(cli_module.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
+def fresh(argv):
+    return run_fresh(PROBE, json.dumps(argv))
+
+
 BOUND_LAYERS = ["bound_engine", "brent"]
 LATTICE_LAYERS = ["brent", "lattice_combinatorics", "lattice_theta", "optimize", "special_functions"]
+SCALAR_LAYERS = ["bound_engine", "brent", "special_functions"]
 
 
 @pytest.mark.parametrize(
@@ -67,10 +73,18 @@ LATTICE_LAYERS = ["brent", "lattice_combinatorics", "lattice_theta", "optimize",
         (["bound", "--m", "1", "--k", "1"], BOUND_LAYERS, False),
         (["table", "--m-max", "2", "--k-max", "2"], BOUND_LAYERS, False),
         (["lattice-mu", "--lattice", "zn"], LATTICE_LAYERS, True),
-        (["constants"], sorted(set(BOUND_LAYERS) | set(LATTICE_LAYERS)), True),
-        (["verify", "--suite", "all"], sorted(n for n in LAYERS if n != "lattice_theta"), True),
+        (["constants"], SCALAR_LAYERS, False),
+        (["verify", "--suite", "all"], sorted(n for n in LAYERS if n not in ("lattice_theta", "optimize")), False),
+        # Each suite runs only the layers its checks call.
+        (["verify", "--suite", "theta"], ["brent", "special_functions", "verify"], False),
+        (["verify", "--suite", "bounds"], [*SCALAR_LAYERS, "verify"], False),
+        (["verify", "--suite", "combinatorics"], ["lattice_combinatorics", "verify"], False),
+        (["verify", "--suite", "tensor"], ["lattice_combinatorics", "tensor_oracle", "verify"], False),
     ],
-    ids=["version", "bound-help", "lattice-mu-help", "bound", "table", "lattice-mu", "constants", "verify"],
+    ids=[
+        "version", "bound-help", "lattice-mu-help", "bound", "table", "lattice-mu", "constants",
+        "verify", "verify-theta", "verify-bounds", "verify-combinatorics", "verify-tensor",
+    ],
 )
 def test_command_executes_only_its_layers(argv, executed, numpy):
     found = fresh(argv)
@@ -86,6 +100,20 @@ def test_importing_cli_registers_every_layer_and_runs_none():
     assert found["registered"] == sorted(LAYERS)
     assert found["executed"] == []
     assert not found["numpy"]
+
+
+def test_scalar_calls_leave_numpy_unloaded():
+    # A Python float or int takes the plain-comparison path of
+    # check_unit_interval, and one_minus_t_theta_max searches in Python.
+    code = """
+import json, sys
+import chromabound as cb
+cb.theta_full(0, 0.5), cb.theta_truncated(1, 0.5, 3), cb.theta_ratio(0, 0.5, 3)
+cb.jacobi_theta(3, 0), cb.jacobi_theta_and_tail(2, 0.5)
+cb.one_minus_t_theta_max(0.5), cb.functional_equation_residual(1)
+print(json.dumps("numpy" in sys.modules))
+"""
+    assert run_fresh(code) is False
 
 
 def test_suite_choices_match_registry():
