@@ -325,7 +325,7 @@ def maximize_over_t(gamma: float, l: int, tol: float = 1e-12) -> Tuple[float, fl
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects nan
         raise ValueError("gamma must be positive")
     _, t_star, value = _search(gamma, l, l, tol)
     if value < 1.0:
@@ -348,7 +348,7 @@ def best_l(gamma: float, tol: float = 1e-12) -> Tuple[int, float, float]:
     l * gamma < 1 - 1e-12, which a few ulps of rounding cannot reach
     from l k >= m + 1.
     """
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects nan
         raise ValueError("gamma must be positive")
     hi = math.ceil(2.0 / gamma) - 1
     lo = next((l for l in range(2, hi + 1) if l * gamma >= 1.0 - 1e-12), hi + 1)

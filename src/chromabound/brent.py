@@ -1,18 +1,29 @@
-"""Brent's method for a scalar maximum on a bracket, in pure Python.
+"""Brent's method for a scalar maximum on a bracket, and the best-first
+cell search on [0, 1) built on it, in pure Python.
 
-The module does not import numpy, so a command that only refines
-scalar objectives (``bound``, ``table``, ``constants``, ``verify``)
-never loads it.
-``optimize`` re-exports ``golden_section_max`` for its grid search.
+The module does not import numpy, so no command that searches with it
+loads numpy.  ``cell_search_max`` is the search of
+``special_functions.one_minus_t_theta_max`` and of ``lattice_theta``'s
+``mu``; ``optimize`` re-exports ``golden_section_max`` for its grid
+search, which only the tests still run.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 #: The golden-section fraction (3 - sqrt(5)) / 2 of Brent's fallback step.
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+
+# The cells of ``cell_search_max``, with the values of ``bound_engine``'s
+# search: equal start cells of [0, 1), the width below which a cell is no
+# longer bisected, and the relative margin on a cell bound (a cell is
+# dropped only when bound * (1 + _SLACK) <= best).
+_START_CELLS = 8
+_LEAF_WIDTH = 2.0 ** -6
+_SLACK = 1e-10
 
 
 def golden_section_max(
@@ -77,3 +88,77 @@ def golden_section_max(
             elif fu > fv or v == x or v == w:
                 v, fv = u, fu
     return x, fx
+
+
+def cell_search_max(
+    rising: Callable[[float], float],
+    falling: Callable[[float], float],
+    last_bound: Callable[[float], float],
+    xtol: float = 1e-12,
+) -> Tuple[float, float]:
+    """Maximize falling(t) * rising(t) over t in (0, 1) by best-first bisection.
+
+    ``rising`` must not fall and ``falling`` must be nonnegative and not
+    rise on [0, 1), so on a cell [a, b] with b < 1 the product is at most
+    falling(a) rising(b); ``last_bound(a)`` must bound it on the last
+    cell [a, 1).  The search runs by the rules of ``bound_engine``'s:
+    ``_START_CELLS`` equal cells, bisected best first down to
+    ``_LEAF_WIDTH``, and a cell is dropped once its bound, times
+    1 + ``_SLACK`` (a margin for the float rounding of the bounds), is at
+    most the best value evaluated.  Brent's method
+    (``golden_section_max``, down to ``xtol``) refines each run of
+    adjacent surviving leaves.  ``rising`` is evaluated at t = 0 and at
+    points of (0, 1), never at 1.
+
+    Returns ``(t_star, value)``: the best point of (0, 1) evaluated, ties
+    going to the smaller t.
+    """
+
+    def f(t: float) -> float:
+        return falling(t) * rising(t)
+
+    values = {}  # rising(t) at each end evaluated
+    best = (-math.inf, -0.0)  # (value, -t): ties go to the smaller t
+    cells: List[Tuple[float, float, float]] = []  # (-bound, a, b), to bisect
+    leaves: List[Tuple[float, float, float]] = []  # (bound, a, b)
+
+    def visit(t: float) -> None:
+        nonlocal best
+        values[t] = rising(t)
+        if t > 0.0:
+            best = max(best, (falling(t) * values[t], -t))
+
+    def push(a: float, b: float) -> None:
+        bound = falling(a) * values[b] if b < 1.0 else last_bound(a)
+        bound *= 1.0 + _SLACK
+        if bound <= best[0]:
+            return
+        if b - a <= _LEAF_WIDTH:
+            leaves.append((bound, a, b))
+        else:
+            heapq.heappush(cells, (-bound, a, b))
+
+    ends = [i / _START_CELLS for i in range(_START_CELLS + 1)]
+    for t in ends[:-1]:
+        visit(t)
+    for a, b in zip(ends, ends[1:]):
+        push(a, b)
+    while cells:
+        neg, a, b = heapq.heappop(cells)
+        if -neg <= best[0]:
+            break  # every cell left is bounded as low
+        mid = 0.5 * (a + b)
+        visit(mid)
+        push(a, mid)
+        push(mid, b)
+    runs: List[List[float]] = []
+    for a, b in sorted((a, b) for bound, a, b in leaves if bound > best[0]):
+        if runs and runs[-1][1] == a:
+            runs[-1][1] = b
+        else:
+            runs.append([a, b])
+    for a, b in runs:
+        t, v = golden_section_max(f, a, b, xtol)
+        best = max(best, (v, -t))
+    value, neg_t = best
+    return -neg_t, value

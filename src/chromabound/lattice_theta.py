@@ -24,6 +24,11 @@ D_n and tau are powers of sparse series, expanded by the package's exact
 power recurrence (``lattice_combinatorics._sparse_power``) in
 O(K * nonzero terms) integer steps.
 
+mu is maximized in pure Python by ``brent.cell_search_max``, a best-first
+bisection of [0, 1) with proven cell bounds and Brent refinement, and
+certified afterwards on a fixed grid of 4096 points whose tail bounds
+are evaluated lazily (``_mu``); the module does not import numpy.
+
 Series objects are immutable after construction and safe to share
 across threads.
 """
@@ -35,10 +40,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, List, Tuple
 
-import numpy as np
-
+from .brent import _SLACK, cell_search_max
 from .lattice_combinatorics import _sparse_power
-from .optimize import GRID, refine_grid_maxima
 from .special_functions import (
     SQRT3_OVER_2,
     check_unit_interval,
@@ -91,6 +94,14 @@ class ThetaSeries:
     def _float_coeffs_high_first(self) -> Tuple[float, ...]:
         return tuple(float(c) for c in reversed(self.coeffs))
 
+    @cached_property
+    def _tail_weights(self) -> Tuple[float, ...]:
+        """binom(d, i) (a sqrt(K+1))^i for i = 0..d, the weights of ``tail_bound``."""
+        kp1 = len(self.coeffs)
+        j0 = next((j for j in range(1, kp1) if self.coeffs[j]), kp1)
+        b = 2.0 * math.sqrt(kp1 / j0)  # a sqrt(K+1)
+        return tuple(math.comb(self.dim, i) * b ** i for i in range(self.dim + 1))
+
     def evaluate(self, t: ArrayLike) -> ArrayLike:
         """Truncated series value  sum_j N_j t^(2j)  for t in [0, 1)."""
         t = check_unit_interval(t, hi_open=True)
@@ -100,7 +111,7 @@ class ThetaSeries:
             acc = acc * u + c
         return acc
 
-    def tail_bound(self, t: ArrayLike) -> ArrayLike:
+    def tail_bound(self, t: float) -> float:
         """Proven upper bound on the omitted tail  sum_{j > K} N_j x^j,  x = t^2.
 
         Hypothesis: ``coeffs`` are the norm counts N_j = #{v in L : |v|^2 = 2j}
@@ -137,30 +148,28 @@ class ThetaSeries:
         d + 1 positive terms and of e^-y (y < 3000 wherever the result is a
         normal float).  A float sum that overflows gives inf, the safe side.
         """
-        arr = np.asarray(check_unit_interval(t, hi_open=True))
-        kp1 = len(self.coeffs)
-        j0 = next((j for j in range(1, kp1) if self.coeffs[j]), kp1)
-        b = 2.0 * np.sqrt(kp1 / j0)  # a sqrt(K+1)
-        tail = np.zeros(arr.shape)
-        live = arr > 0.0
-        lam = -2.0 * np.log(arr[live])
-        y = kp1 * lam
-        h_half = np.ones(y.shape)
-        near = y < 700.0
-        y_near = y[near]
-        erfc = np.array([math.erfc(v) for v in np.sqrt(y_near)])
-        h_half[near] = np.sqrt(np.pi * y_near) * np.exp(y_near) * erfc
-        # h[i % 2] = H(s_i - 1): H(1/2) starts the odd i, and the even i
-        # start from H(1) = 0 * H(0)/y + 1, so H(0) needs no value.
-        h = [np.zeros(y.shape), h_half]
-        total = np.zeros(y.shape)
-        with np.errstate(over="ignore"):
-            for i in range(self.dim + 1):
+        t = float(check_unit_interval(t, hi_open=True))
+        if t == 0.0:
+            return 0.0
+        lam = -2.0 * math.log(t)
+        y = len(self.coeffs) * lam
+        try:
+            h_half = (
+                math.sqrt(math.pi * y) * math.exp(y) * math.erfc(math.sqrt(y))
+                if y < 700.0
+                else 1.0
+            )
+            # h[i % 2] = H(s_i - 1): H(1/2) starts the odd i, and the even i
+            # start from H(1) = 0 * H(0)/y + 1, so H(0) needs no value.
+            h = [0.0, h_half]
+            total = 0.0
+            for i, weight in enumerate(self._tail_weights):
                 h[i % 2] = (0.5 * i) * h[i % 2] / y + 1.0
-                total += math.comb(self.dim, i) * b ** i * h[i % 2]
-            log_tail = np.log(total) - y + lam + np.log(-np.expm1(-lam)) - np.log(lam)
-            tail[live] = np.exp(log_tail) * _TAIL_MARGIN
-        return tail if arr.ndim else float(tail)
+                total += weight * h[i % 2]
+            log_tail = math.log(total) - y + lam + math.log(-math.expm1(-lam)) - math.log(lam)
+            return math.exp(log_tail) * _TAIL_MARGIN
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -271,24 +280,66 @@ def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
 _LARGER_TOL = "request a larger tol"
 
 
+#: Certification points of ``_mu``: the 4096 equispaced interior points
+#: of (0, 1), computed as numpy.linspace(0, 1, 4098)[1:-1] computes them,
+#: i * (1/4097); (i + 1)/4097 rounds differently at some points.
+_CERT_GRID = tuple((i + 1) * (1.0 / 4097) for i in range(4096))
+
+#: Grid points that share one theta bound in ``_exceeds_one``.
+_BLOCK = 16
+
+
+def _exceeds_one(
+    theta: Callable[[float], float], tail: Callable[[float], float], dim: int
+) -> bool:
+    """Whether theta(t) w + tail(t) w > 1 in floats, w = (1-t)^dim, at some grid point.
+
+    theta rises in t, so theta at the last point of a block of
+    ``_BLOCK`` grid points, times 1 + ``_SLACK`` (the search's margin for
+    float rounding), bounds theta on the block.  Float rounding is
+    monotone, so a point where the bound in place of theta keeps the sum
+    at most 1 is settled without its own theta.  For a ``ThetaSeries``
+    the float Horner sum itself is monotone in t (nonnegative coefficients),
+    so the skip never changes the answer.
+    """
+    for start in range(0, len(_CERT_GRID), _BLOCK):
+        block = _CERT_GRID[start : start + _BLOCK]
+        hi = theta(block[-1]) * (1.0 + _SLACK)
+        for t in block:
+            w = (1.0 - t) ** dim
+            rest = tail(t) * w
+            if hi * w + rest > 1.0 and theta(t) * w + rest > 1.0:
+                return True
+    return False
+
+
 def _mu(
     label: str,
     dim: int,
-    theta: Callable[[ArrayLike], ArrayLike],
-    tail: Callable[[ArrayLike], ArrayLike],
+    theta: Callable[[float], float],
+    tail: Callable[[float], float],
+    last_bound: Callable[[float], float],
     tol: float,
     remedy: str,
 ) -> MuResult:
     """Maximize theta(t)(1-t)^dim where theta's remainder ``tail`` is below ``tol``.
 
-    ``tail`` and the objective are each evaluated once on all of
-    ``optimize.GRID`` and the scan goes to ``refine_grid_maxima``, so the
-    maximizer does not depend on ``tail``.  The grid points before the
-    first one whose tail is not below ``tol`` are certified.
+    The maximizer comes from ``brent.cell_search_max``, so it does not
+    depend on ``tail``.  Its cell bounds: theta has nonnegative
+    coefficients, so it rises in t, and on [a, b] with b < 1 the
+    objective is at most theta(b)(1-a)^dim; on the last cell [a, 1) it is
+    at most ``last_bound(a)``, which each caller proves for its theta.
+
+    Certification is a check on the result, taken on the grid
+    ``_CERT_GRID``: the grid points before the first one whose tail is
+    not below ``tol`` are certified.  ``tail`` is evaluated lazily, in
+    grid order: on the first 3 points, then on to the first certified
+    point past the maximizer, or to the first uncertified point.
 
     A maximum not above 1, the t -> 0 limit, gives no bound.  It raises
     NoBoundError if theta + tail, an upper bound on the untruncated
-    theta, keeps the objective at most 1 on the whole grid (D_n for
+    theta, keeps the objective at most 1 on the whole grid
+    (``_exceeds_one``, which takes the tail at every grid point; D_n for
     n <= 5 from the closed form, or from a long enough series); otherwise
     a larger value past the certified region is not ruled out and it
     raises TailBoundError.  Fewer than 3 certified points, a maximizer
@@ -297,27 +348,31 @@ def _mu(
     as well.  Each TailBoundError but the last ends with ``remedy``, the
     caller's way to certify more of the grid.
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
-    tails = tail(GRID)
-    mask = tails < tol
-    certified = len(GRID) if bool(mask.all()) else int(np.argmin(mask))
-    if certified < 3:
+    grid = _CERT_GRID
+    tails: List[float] = []  # tail on grid[0], grid[1], ..., up to the first not below tol
+
+    def certified(n: int) -> int:
+        """Scan the tail on to the first n grid points; the points certified so far."""
+        while len(tails) < n and (not tails or tails[-1] < tol):
+            tails.append(tail(grid[len(tails)]))
+        return len(tails) - (not tails[-1] < tol)
+
+    count = certified(3)
+    if count < 3:
         raise TailBoundError(
             f"tail bound below {tol} on too small a region; {remedy}"
         )
-
-    def objective(t: ArrayLike) -> ArrayLike:
-        return theta(t) * (1.0 - t) ** dim
-
-    vals = objective(GRID)
-    t_star, max_value = refine_grid_maxima(objective, vals, xtol=1e-12)
+    t_star, max_value = cell_search_max(
+        theta, lambda t: (1.0 - t) ** dim, last_bound, xtol=1e-12
+    )
     if not max_value > 1.0:
         claim = (
             f"theta_{label}(t)(1-t)^{dim} has maximum {max_value!r}, not above its"
             f" t -> 0 limit 1, where its tail bound is below {tol}"
         )
-        if not bool((vals + tails * (1.0 - GRID) ** dim > 1.0).any()):
+        if not _exceeds_one(theta, tail, dim):
             raise NoBoundError(
                 f"{claim}, and theta plus tail keeps it at most 1 at every grid"
                 " point of (0, 1), so mu = 1 gives no bound"
@@ -326,18 +381,21 @@ def _mu(
             f"{claim}; theta plus tail exceeds 1 at some grid point, so a larger"
             f" value is not ruled out; {remedy}"
         )
-    if not GRID[0] < t_star < GRID[certified - 1]:
+    while count == len(tails) < len(grid) and not t_star < grid[count - 1]:
+        count = certified(count + 1)
+    if not grid[0] < t_star < grid[count - 1]:
+        count = certified(len(grid))  # the message names the first uncertified point
         past = (
-            f", and the tail bound {float(tails[certified])!r} at the next grid point"
-            f" t = {float(GRID[certified])!r} is not below {tol}"
-            if certified < len(GRID)
+            f", and the tail bound {tails[count]!r} at the next grid point"
+            f" t = {grid[count]!r} is not below {tol}"
+            if count < len(grid)
             else ""
         )
         raise TailBoundError(
             f"tail bound at the maximizer is not certified below {tol}: the maximizer"
             f" sits at or past the edge of the certified region{past}; {remedy}"
         )
-    tail_at_star = float(tail(t_star))
+    tail_at_star = tail(t_star)
     if not tail_at_star < tol:
         raise TailBoundError(
             f"tail bound {tail_at_star!r} at the maximizer is not below {tol}"
@@ -356,12 +414,30 @@ def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
     """Maximize theta(t)(1-t)^d over (0, 1) and report mu = (max)^(-1/d).
 
     ``series.tail_bound`` bounds the truncation tail; a TailBoundError
-    asks for a larger K.
+    asks for a larger K.  On [a, 1) the objective is at most
+    (1-a)^d sum_j N_j, the truncated series at t = 1.
     """
     label = series.label or f"dim{series.dim}"
+    at_one = float(sum(series.coeffs))
     return _mu(
-        label, series.dim, series.evaluate, series.tail_bound, tol, "request larger K"
+        label,
+        series.dim,
+        series.evaluate,
+        series.tail_bound,
+        lambda a: (1.0 - a) ** series.dim * at_one,
+        tol,
+        "request larger K",
     )
+
+
+def _theta3_cell_bound(a: float) -> float:
+    """Bound on theta3(t)(1-t) for t in [a, 1).
+
+    theta3(q) = 1 + 2 sum_{n >= 1} e^(-lam n^2) <= 1 + sqrt(pi/lam), with
+    lam = -ln q >= 1 - q, so theta3(t)(1-t) <= (1-t) + sqrt(pi (1-t)),
+    which rises in 1 - t.
+    """
+    return (1.0 - a) + math.sqrt(math.pi * (1.0 - a))
 
 
 def mu_z(tol: float = 1e-10) -> MuResult:
@@ -376,6 +452,7 @@ def mu_z(tol: float = 1e-10) -> MuResult:
         1,
         lambda t: jacobi_theta(3, t),
         lambda t: jacobi_theta_and_tail(3, t)[1],
+        _theta3_cell_bound,
         tol,
         _LARGER_TOL,
     )
@@ -391,14 +468,24 @@ def mu_dn(n: int, tol: float = 1e-10) -> MuResult:
     stops no earlier than theta3's, so its remainder is no larger and the
     same bound covers the change in theta4^n; half their sum bounds the
     remainder of (theta3^n + theta4^n)/2.  It is multiplied by the
-    rounding margin ``_TAIL_MARGIN``.
+    rounding margin ``_TAIL_MARGIN``.  On [a, 1) the objective is at most
+    the n-th power of ``_theta3_cell_bound(a)``, since |theta4| <= theta3
+    gives theta_{D_n} <= theta3^n.
     """
 
-    def tail(t: ArrayLike) -> ArrayLike:
+    def tail(t: float) -> float:
         t3, tail3 = jacobi_theta_and_tail(3, t)
         return n * tail3 * (t3 + tail3) ** (n - 1) * _TAIL_MARGIN
 
-    return _mu(f"D{n}", n, lambda t: dn_theta(n, t), tail, tol, _LARGER_TOL)
+    return _mu(
+        f"D{n}",
+        n,
+        lambda t: dn_theta(n, t),
+        tail,
+        lambda a: _theta3_cell_bound(a) ** n,
+        tol,
+        _LARGER_TOL,
+    )
 
 
 def double_cap_compare(mu: float) -> str:

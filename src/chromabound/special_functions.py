@@ -35,12 +35,11 @@ is a pure-Python search.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
-from .brent import golden_section_max
+from .brent import cell_search_max
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,14 +59,6 @@ _MODULAR_SWITCH = math.exp(-math.pi)
 
 #: Relative remainder allowed in the direct sum of ``_theta_of_power``.
 _OBJECTIVE_TAIL_TOL = 1e-14
-
-# The cells of the search in ``one_minus_t_theta_max``, with the values
-# of ``bound_engine``'s: equal start cells of [0, 1), the width below
-# which a cell is no longer bisected, and the relative margin on a cell
-# bound (a cell is dropped only when bound * (1 + _SLACK) <= best).
-_START_CELLS = 8
-_LEAF_WIDTH = 2.0 ** -6
-_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -132,7 +123,7 @@ def theta_truncated(t: ArrayLike, gamma: float, l: int) -> ArrayLike:
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects nan
         raise ValueError("gamma must be positive")
     t = check_unit_interval(t, hi_open=False)
     r = t ** gamma
@@ -154,7 +145,7 @@ def theta_full(t: ArrayLike, gamma: float = 1.0, tail_tol: float = 1e-15) -> Arr
     ``tail_tol`` relative to the sum.  An array stops once every point
     meets both tests.
     """
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects nan
         raise ValueError("gamma must be positive")
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
@@ -318,11 +309,9 @@ def one_minus_t_theta_max(gamma: float, tol: float = 1e-12) -> Tuple[float, floa
     t -> 0 limit 1, reported at t_star = 0: term by term
     theta(t^gamma) <= theta(t) = sum t^(j(j-1)/2) <= sum t^(j-1) =
     1/(1-t), since j(j-1)/2 >= j - 1.  For gamma < 1 the objective
-    exceeds 1 and is maximized by a best-first bisection of [0, 1), by
-    the rules of ``bound_engine``'s search: ``_START_CELLS`` equal
-    cells, bisected down to ``_LEAF_WIDTH``, and a cell is dropped once
-    its bound, times 1 + ``_SLACK``, is at most the best value
-    evaluated.  Two proven cell bounds:
+    exceeds 1 and is maximized by ``brent.cell_search_max``, a best-first
+    bisection of [0, 1) by the rules of ``bound_engine``'s search with
+    Brent refinement down to ``tol``.  Two proven cell bounds:
 
     - on [a, b] with b < 1,  (1-t) theta(t^gamma) <= (1-a) theta(b^gamma),
       since theta rises with its argument and 1 - t falls;
@@ -330,10 +319,9 @@ def one_minus_t_theta_max(gamma: float, tol: float = 1e-12) -> Tuple[float, floa
       since theta(s) <= 1 + sum_{n >= 1} e^(-lam n^2/2) <= 1 + sqrt(pi/(2 lam))
       with lam = -ln s = -gamma ln t >= gamma (1-t).
 
-    The slack also covers the float seam at s = e^-pi, where the
-    evaluator switches sides.  Brent's method (``golden_section_max``,
-    down to ``tol``) refines each run of adjacent surviving leaves; the
-    result is the best point evaluated, ties going to the smaller t.
+    The search's slack also covers the float seam at s = e^-pi, where the
+    evaluator switches sides.  The result is the best point evaluated,
+    ties going to the smaller t.
 
     theta(t^gamma) comes from the functional equation: the direct sum
     where t^gamma <= e^-pi (at most 5 terms) and
@@ -347,55 +335,9 @@ def one_minus_t_theta_max(gamma: float, tol: float = 1e-12) -> Tuple[float, floa
         raise ValueError("tol must be positive")
     if gamma >= 1.0:
         return 0.0, 1.0
-
-    def f(t: float) -> float:
-        return (1.0 - t) * _theta_of_power(t, gamma)
-
-    theta = {}  # theta(t^gamma) at each end evaluated
-    best = (-math.inf, -0.0)  # (value, -t): ties go to the smaller t
-    cells: List[Tuple[float, float, float]] = []  # (-bound, a, b), to bisect
-    leaves: List[Tuple[float, float, float]] = []  # (bound, a, b)
-
-    def visit(t: float) -> None:
-        nonlocal best
-        theta[t] = _theta_of_power(t, gamma)
-        if t > 0.0:
-            best = max(best, ((1.0 - t) * theta[t], -t))
-
-    def push(a: float, b: float) -> None:
-        if b < 1.0:
-            bound = (1.0 - a) * theta[b]
-        else:
-            bound = (1.0 - a) + math.sqrt(math.pi * (1.0 - a) / (2.0 * gamma))
-        bound *= 1.0 + _SLACK
-        if bound <= best[0]:
-            return
-        if b - a <= _LEAF_WIDTH:
-            leaves.append((bound, a, b))
-        else:
-            heapq.heappush(cells, (-bound, a, b))
-
-    ends = [i / _START_CELLS for i in range(_START_CELLS + 1)]
-    for t in ends[:-1]:
-        visit(t)
-    for a, b in zip(ends, ends[1:]):
-        push(a, b)
-    while cells:
-        neg, a, b = heapq.heappop(cells)
-        if -neg <= best[0]:
-            break  # every cell left is bounded as low
-        mid = 0.5 * (a + b)
-        visit(mid)
-        push(a, mid)
-        push(mid, b)
-    runs: List[List[float]] = []
-    for a, b in sorted((a, b) for bound, a, b in leaves if bound > best[0]):
-        if runs and runs[-1][1] == a:
-            runs[-1][1] = b
-        else:
-            runs.append([a, b])
-    for a, b in runs:
-        t, v = golden_section_max(f, a, b, tol)
-        best = max(best, (v, -t))
-    value, neg_t = best
-    return -neg_t, value
+    return cell_search_max(
+        lambda t: _theta_of_power(t, gamma),
+        lambda t: 1.0 - t,
+        lambda a: (1.0 - a) + math.sqrt(math.pi * (1.0 - a) / (2.0 * gamma)),
+        tol,
+    )

@@ -15,6 +15,7 @@ from chromabound import (
     maximize_over_t,
     one_minus_t_theta_max,
     table,
+    theta_full,
     theta_ratio,
     theta_truncated,
 )
@@ -327,3 +328,19 @@ class TestStructuralInequalities:
             l = math.ceil(2.0 / gamma)
             t_star, value = maximize_over_t(gamma, l)
             assert theta_ratio(t_star, gamma, l - 1) > value
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda gamma: maximize_over_t(gamma, 3),
+        lambda gamma: best_l(gamma),
+        lambda gamma: theta_truncated(0.5, gamma, 3),
+        lambda gamma: theta_full(0.5, gamma),
+    ],
+    ids=["maximize_over_t", "best_l", "theta_truncated", "theta_full"],
+)
+def test_nan_gamma_is_rejected(call):
+    # NaN fails every comparison, so a check `gamma <= 0` let it through.
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        call(math.nan)

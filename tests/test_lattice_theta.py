@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 
@@ -18,10 +19,11 @@ from chromabound import (
     mu_z,
     ramanujan_tau,
 )
+from chromabound import optimize
 from chromabound.lattice_combinatorics import is_prime
-from chromabound.lattice_theta import _TAIL_MARGIN
+from chromabound.lattice_theta import _CERT_GRID, _TAIL_MARGIN, _exceeds_one
 from chromabound.optimize import GRID
-from chromabound.special_functions import jacobi_theta_and_tail
+from chromabound.special_functions import jacobi_theta, jacobi_theta_and_tail
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
@@ -256,24 +258,46 @@ class TestMu:
         [(e8_series(64), None), (dn_series(2, 1100), NoBoundError)],
         ids=["success", "no-bound"],
     )
-    def test_scans_the_grid_once(self, monkeypatch, series, error):
-        grid_calls = {"evaluate": 0, "tail_bound": 0}
-        for name in grid_calls:
+    def test_counts_series_evaluations(self, monkeypatch, series, error):
+        # The search evaluates the series at a few dozen points, not on the
+        # grid; the tail is scanned up to the first grid point past t_star
+        # and taken once more at t_star, or, on the no-bound path, taken at
+        # the first three grid points and then at every grid point.
+        calls = {"evaluate": 0, "tail_bound": 0}
+        for name in calls:
             method = getattr(ThetaSeries, name)
 
             def counting(self, t, method=method, name=name):
-                if np.ndim(t):
-                    assert np.shape(t) == GRID.shape
-                    grid_calls[name] += 1
+                assert type(t) is float
+                calls[name] += 1
                 return method(self, t)
 
             monkeypatch.setattr(ThetaSeries, name, counting)
         if error is None:
-            mu_lattice(series)
+            result = mu_lattice(series)
+            assert calls["evaluate"] <= 128
+            assert calls["tail_bound"] == bisect.bisect(_CERT_GRID, result.t_star) + 2
         else:
             with pytest.raises(error):
                 mu_lattice(series)
-        assert grid_calls == {"evaluate": 1, "tail_bound": 1}
+            assert calls["evaluate"] <= len(GRID) // 4
+            assert calls["tail_bound"] == 3 + len(GRID)
+
+    @pytest.mark.parametrize(
+        "theta, tail, dim",
+        [
+            (lambda t: 1.0 + t, lambda t: 0.0, 1),  # 1 - t^2: each block bound exceeds 1
+            (lambda t: 1.0 + t, lambda t: 1e-3 * t, 1),  # exceeds 1 only for t < 1e-3
+            (lambda t: 1.0 + 5.0 * t, lambda t: 0.0, 1),
+            *[(s.evaluate, s.tail_bound, s.dim) for s in (dn_series(2, 64), dn_series(5, 1024))],
+        ],
+        ids=["below-one", "tail-lifts-it", "above-one", "D2-64", "D5-1024"],
+    )
+    def test_exceeds_one_matches_a_pointwise_pass(self, theta, tail, dim):
+        pointwise = any(
+            theta(t) * (1.0 - t) ** dim + tail(t) * (1.0 - t) ** dim > 1.0 for t in GRID.tolist()
+        )
+        assert _exceeds_one(theta, tail, dim) == pointwise
 
     def test_mu_z_argmax_does_not_depend_on_tol(self):
         t_stars = {mu_z(tol).t_star for tol in (1e-9, 1e-12, 1e-20)}
@@ -317,6 +341,44 @@ class TestMu:
         for tol in (1e-9, 1e-12):
             with pytest.raises(TailBoundError):
                 mu_lattice(e8_series(12), tol)
+
+
+def _series_case(series):
+    return (
+        lambda: mu_lattice(series),
+        lambda t: series.evaluate(t) * (1.0 - t) ** series.dim,
+        series.dim,
+    )
+
+
+_SEARCH_CASES = {
+    **{f"E8-{K}": _series_case(e8_series(K)) for K in (512, 2048)},
+    **{f"Leech-{K}": _series_case(leech_series(K)) for K in (512, 2048)},
+    **{f"D{n}-series": _series_case(dn_series(n)) for n in (8, 16, 21, 24, 64)},
+    "Z": (mu_z, lambda t: jacobi_theta(3, t) * (1.0 - t), 1),
+    **{
+        f"D{n}-closed": (lambda n=n: mu_dn(n), lambda t, n=n: dn_theta(n, t) * (1.0 - t) ** n, n)
+        for n in (8, 16)
+    },
+}
+
+
+class TestSearchAgainstGrid:
+    """The cell search of ``_mu`` against the grid protocol it replaced:
+    ``optimize.maximize_on_unit_interval`` on the same objective."""
+
+    @pytest.mark.parametrize("case", list(_SEARCH_CASES), ids=list(_SEARCH_CASES))
+    def test_same_maximum(self, case):
+        run, objective, dim = _SEARCH_CASES[case]
+        result = run()
+        t_ref, max_ref = optimize.maximize_on_unit_interval(objective)
+        assert result.max_value == pytest.approx(max_ref, rel=1e-13, abs=0.0)
+        assert result.mu == pytest.approx(max_ref ** (-1.0 / dim), rel=1e-13, abs=0.0)
+        assert abs(result.t_star - t_ref) <= 1e-6
+
+    def test_certification_grid_is_the_optimize_grid(self):
+        # numpy.linspace computes i * step, so (i + 1) / 4097 would not match.
+        assert list(_CERT_GRID) == GRID.tolist()
 
 
 class TestDoubleCapCompare:
@@ -368,11 +430,10 @@ class TestThetaSeriesType:
                     x = t * t
                     by_parts = (1 - x) * math.fsum((1 + a * np.sqrt(js)) ** full.dim * x ** js)
                     assert by_parts <= bound <= by_parts / x ** 2 * (1 + 1e-8), (full.label, K, t)
-                grid_tail = short.tail_bound(GRID)
-                assert np.isfinite(grid_tail).all(), (full.label, K)
+                assert all(math.isfinite(short.tail_bound(t)) for t in GRID.tolist()), (full.label, K)
                 assert short.tail_bound(0.0) == 0.0
-                points = short.tail_bound(np.array(checked))
-                assert points.tolist() == [short.tail_bound(float(t)) for t in checked]
+                points = [short.tail_bound(np.float64(t)) for t in checked]
+                assert points == [short.tail_bound(float(t)) for t in checked]
         # With no nonzero norm stored, the minimum norm is 2(K+1) = 4, not 2:
         # still above the true Leech tail, and below a bound that assumes norm 2.
         bare, leech = leech_series(1), longs[1]

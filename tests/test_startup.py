@@ -58,7 +58,7 @@ def fresh(argv):
 
 
 BOUND_LAYERS = ["bound_engine", "brent"]
-LATTICE_LAYERS = ["brent", "lattice_combinatorics", "lattice_theta", "optimize", "special_functions"]
+LATTICE_LAYERS = ["brent", "lattice_combinatorics", "lattice_theta", "special_functions"]
 SCALAR_LAYERS = ["bound_engine", "brent", "special_functions"]
 
 
@@ -72,7 +72,8 @@ SCALAR_LAYERS = ["bound_engine", "brent", "special_functions"]
         # reaches special_functions.
         (["bound", "--m", "1", "--k", "1"], BOUND_LAYERS, False),
         (["table", "--m-max", "2", "--k-max", "2"], BOUND_LAYERS, False),
-        (["lattice-mu", "--lattice", "zn"], LATTICE_LAYERS, True),
+        # The mu search is pure Python; no command runs optimize.
+        (["lattice-mu", "--lattice", "zn"], LATTICE_LAYERS, False),
         (["constants"], SCALAR_LAYERS, False),
         (["verify", "--suite", "all"], sorted(n for n in LAYERS if n not in ("lattice_theta", "optimize")), False),
         # Each suite runs only the layers its checks call.
@@ -80,10 +81,14 @@ SCALAR_LAYERS = ["bound_engine", "brent", "special_functions"]
         (["verify", "--suite", "bounds"], [*SCALAR_LAYERS, "verify"], False),
         (["verify", "--suite", "combinatorics"], ["lattice_combinatorics", "verify"], False),
         (["verify", "--suite", "tensor"], ["lattice_combinatorics", "tensor_oracle", "verify"], False),
+        (["lattice-mu", "--lattice", "dn:16"], LATTICE_LAYERS, False),
+        (["lattice-mu", "--lattice", "e8"], LATTICE_LAYERS, False),
+        (["lattice-mu", "--lattice", "leech"], LATTICE_LAYERS, False),
     ],
     ids=[
         "version", "bound-help", "lattice-mu-help", "bound", "table", "lattice-mu", "constants",
         "verify", "verify-theta", "verify-bounds", "verify-combinatorics", "verify-tensor",
+        "lattice-mu-dn16", "lattice-mu-e8", "lattice-mu-leech",
     ],
 )
 def test_command_executes_only_its_layers(argv, executed, numpy):
