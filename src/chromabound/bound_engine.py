@@ -11,19 +11,22 @@ always have the same length.  Appending term l + 1 turns the l-term
 ratio R_l(t) into the mediant of R_l(t) and t^(gamma*l(l+1)/2 - l), so
 R_{l+1}(t) lies between the two.  The exponent is nonnegative once
 l >= 2/gamma - 1, and then t^(...) <= 1 <= max R_l; hence the argmax
-satisfies l_star <= ceil(2/gamma) - 1, and at k = 1 it equals that bound
-(2m + 1) for every m <= 15.  From below: with f(j) = gamma j(j+1)/2 - j,
-f falls strictly on 0..l while l gamma < 1, so the appended ratio t^f(l)
-exceeds every termwise ratio t^f(j), j < l, hence R_l(t), and
-R_{l+1} > R_l on (0, 1).  Only the l with l k >= m + 1 can win, and
-``best_l`` refines the l >= 2 of [1/gamma, 2/gamma - 1]; the 1-term
-ratio R_1 is identically 1, the value it starts from.
+satisfies l_star <= ceil(2/gamma) - 1.  At k = 1 the exact argmax equals
+that bound (2m + 1) for every m <= 15, but ``best_l`` returns it only up
+to m = 13: at m = 14 and 15 the larger l tie the smaller in floats, and
+it returns 28 and 30 (ROADMAP item 2).  From below: with
+f(j) = gamma j(j+1)/2 - j, f falls strictly on 0..l while l gamma < 1,
+so the appended ratio t^f(l) exceeds every termwise ratio t^f(j), j < l,
+hence R_l(t), and R_{l+1} > R_l on (0, 1).  Only the l with l k >= m + 1
+can win, and ``best_l`` refines the l >= 2 of [1/gamma, 2/gamma - 1];
+the 1-term ratio R_1 is identically 1, the value it starts from.
 
-``best_l`` searches all l of that window at once, in pure Python
-(``_search``; ``maximize_over_t`` is the same search on the window
-{l}).  One pass at a point t gives N_l(t) and D_l(t), the numerator
-and denominator of R_l, for every l, with the float operations of
-``theta_ratio``.  The search rests on three facts:
+``best_l`` searches all l of that window at once, in pure Python, by the
+best-first cell search of ``brent`` (``_search``; ``maximize_over_t`` is
+the same search on the window {l}).  Its visit of a point t is one pass
+that gives N_l(t) and D_l(t), the numerator and denominator of R_l, for
+every l, with the float operations of ``theta_ratio``.  The search rests
+on three facts about R_l:
 
 - **Cell bound.**  Both sums have positive terms that rise with t, so
   on a cell [a, b]
@@ -31,11 +34,7 @@ and denominator of R_l, for every l, with the float operations of
       R_l(t) = N_l(t) / D_l(t) <= N_l(b) / D_l(a)   for a <= t <= b.
 
   Each float operation of a pass is monotone in t, so the float R_l
-  obeys the float bound too; a cell is dropped only when its bound,
-  times 1 + ``_SLACK`` (1e-10, a margin for a pow that is off by an
-  ulp), is at most the best value evaluated.  The surviving cells are
-  bisected best first down to ``_LEAF_WIDTH``, from ``_START_CELLS``
-  equal cells.
+  obeys the float bound too; the cell's bound is the largest over l.
 - **Early stop.**  A pass stops once its next terms lie below a
   fraction of an ulp of their sums.  Terms never grow, so every later
   addition would round to a no-op: the early-stopped sums equal the
@@ -58,14 +57,13 @@ on its own (m, k).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from operator import truediv
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from . import special_functions
-from .brent import golden_section_max
+from .brent import bisect_cells, golden_section_max, runs, survives
 
 if TYPE_CHECKING:
     from .special_functions import ArrayLike
@@ -130,31 +128,6 @@ def theta_ratio(t: ArrayLike, gamma: float, l: int) -> ArrayLike:
     return num / den
 
 
-#: Equal cells of [0, 1] whose ends are evaluated before anything is
-#: pruned.  Their interior ends give the first best value, and each
-#: cell gets a bound; 8 cells (9 passes, two of them at t = 0 and 1)
-#: cost less than the bisection they save.
-_START_CELLS = 8
-
-#: Cells are bisected down to this width, and Brent's method refines
-#: each run of adjacent surviving leaves.  Narrower leaves cost more
-#: passes.  Wider ones stretch the runs up to larger t, where the no-op
-#: rule comes later, and let the leaf at t = 1 survive: its bound
-#: l / D_l(a) stays above the best value unless 1 - a < value / l, about
-#: 18 / 1002 at bound --m 500, the largest window of the CLI.  (From
-#: m = 660 at k = 1 on, that leaf survives at this width too, and every
-#: l of the window is refined.)
-_LEAF_WIDTH = 2.0 ** -6
-
-#: Relative margin on the cell bound: a cell is dropped only when
-#: bound * (1 + _SLACK) <= best.  Every float operation of a pass is
-#: monotone in t, pow included, so the float R_l(t) never exceeds the
-#: float bound; the margin covers a pow that misses that by an ulp, and
-#: it exceeds the 2 * top roundings of the two sums (2 * 10^5 * 2^-53 is
-#: 2.2e-11) for every top up to 10^5.
-_SLACK = 1e-10
-
-
 def _running_sums(q: float, r: float, top: int) -> Tuple[list, list]:
     # The sums 1 + x_2 + ... + x_l for l = 1 .. top and their terms, with
     # x_(j+1) = x_j * q_j and q_(j+1) = q_j * r: N_l(t) at q = r = t^gamma
@@ -214,58 +187,6 @@ def _max_ratio(nums: list, dens: list) -> float:
     return max(max(map(truediv, nums, dens)), nums[-1] / dens[-1])
 
 
-def _prune(gamma: float, lo: int, hi: int) -> Tuple[tuple, list]:
-    """Bisect [0, 1] best first, dropping each cell whose bound cannot win.
-
-    Returns ``(best, leaves)``: the best interior point evaluated as
-    ``(value, -l, -t)``, and the cells of width at most ``_LEAF_WIDTH``
-    whose bound beats that value, in order of t, each as
-    ``(a, b, N at a, D at a, N at b, D at b)`` with N and D the
-    ``(totals, terms)`` of ``_running_sums``.
-    """
-    passes: Dict[float, tuple] = {}
-    window: Dict[float, Tuple[list, list]] = {}  # N_l and D_l from l = lo on
-    best = (-math.inf, 0, 0.0)  # (value, -l, -t): ties go to smaller l, then t
-    cells: List[Tuple[float, float, float]] = []  # (-bound, a, b), to bisect
-    leaves: List[Tuple[float, float, float]] = []  # (bound, a, b)
-
-    def visit(t: float) -> None:
-        nonlocal best
-        r = t ** gamma
-        num, den = passes[t] = _running_sums(r, r, hi), _running_sums(t, 1.0, hi)
-        # Past its end, a list repeats its last entry.
-        ns, ds = window[t] = num[0][lo - 1:] or num[0][-1:], den[0][lo - 1:] or den[0][-1:]
-        if 0.0 < t < 1.0 and _max_ratio(ns, ds) >= best[0]:
-            vals = list(map(truediv, ns, ds)) + [n / ds[-1] for n in ns[len(ds):]]
-            v = max(vals)
-            best = max(best, (v, -(lo + vals.index(v)), -t))
-
-    def push(a: float, b: float) -> None:
-        bound = _max_ratio(window[b][0], window[a][1]) * (1.0 + _SLACK)
-        if bound <= best[0]:
-            return
-        if b - a <= _LEAF_WIDTH:
-            leaves.append((bound, a, b))
-        else:
-            heapq.heappush(cells, (-bound, a, b))
-
-    ends = [i / _START_CELLS for i in range(_START_CELLS + 1)]
-    for t in ends:
-        visit(t)
-    for a, b in zip(ends, ends[1:]):
-        push(a, b)
-    while cells:
-        neg, a, b = heapq.heappop(cells)
-        if -neg <= best[0]:
-            break  # every cell left is bounded as low
-        mid = 0.5 * (a + b)
-        visit(mid)
-        push(a, mid)
-        push(mid, b)
-    kept = sorted((a, b) for bound, a, b in leaves if bound > best[0])
-    return best, [(a, b, *passes[a], *passes[b]) for a, b in kept]
-
-
 def _no_op(l: int, leaf: tuple) -> bool:
     # Term l and t^(l-1) at b lie below half an ulp of the (l-1)-term sums
     # at a.  Terms rise and sums grow with t, so on all of [a, b] adding
@@ -288,28 +209,43 @@ def _refine_l(gamma: float, l: int, runs: List[List[float]], tol: float) -> list
 def _search(gamma: float, lo: int, hi: int, tol: float) -> Tuple[int, float, float]:
     """Best ``(l, t, value)`` of R_l(t) over lo <= l <= hi and 0 < t < 1.
 
-    ``_prune`` keeps the leaves where some R_l may beat the best point
-    evaluated; each l from lo up is refined on the runs of adjacent
-    leaves where its own bound beats that value, until an l is a float
-    no-op on every leaf (``_no_op``).  The result is the best point
-    evaluated; ties go to the smaller l.
+    ``brent.bisect_cells`` keeps the leaves where some R_l may beat the
+    best point evaluated, by the cell bound max_l N_l(b) / D_l(a); each l
+    from lo up is refined on the runs of adjacent leaves where its own
+    bound beats that value, until an l is a float no-op on every leaf
+    (``_no_op``).  The result is the best point evaluated as
+    ``(value, -l, -t)``; ties go to the smaller l, then the smaller t.
     """
-    best, leaves = _prune(gamma, lo, hi)
+    passes: Dict[float, tuple] = {}
+    window: Dict[float, Tuple[list, list]] = {}  # N_l and D_l from l = lo on
+
+    def visit(t: float, best: float) -> Optional[Tuple[float, int, float]]:
+        r = t ** gamma
+        num, den = passes[t] = _running_sums(r, r, hi), _running_sums(t, 1.0, hi)
+        # Past its end, a list repeats its last entry.
+        ns, ds = window[t] = num[0][lo - 1:] or num[0][-1:], den[0][lo - 1:] or den[0][-1:]
+        if not (0.0 < t < 1.0 and _max_ratio(ns, ds) >= best):
+            return None
+        vals = list(map(truediv, ns, ds)) + [n / ds[-1] for n in ns[len(ds):]]
+        v = max(vals)
+        return v, -(lo + vals.index(v)), -t
+
+    best, cells = bisect_cells(visit, lambda a, b: _max_ratio(window[b][0], window[a][1]))
+    # Each leaf as (a, b, N at a, D at a, N at b, D at b), with N and D the
+    # (totals, terms) of _running_sums.
+    leaves = [(a, b, *passes[a], *passes[b]) for a, b in cells]
     cut = best[0]
     for l in range(lo, hi + 1):
         if l > lo and all(_no_op(l, leaf) for leaf in leaves):
             break
-        runs: List[List[float]] = []
+        kept = []
         for a, b, _, (dens, _), (nums, _), _ in leaves:
             # _at, inlined: this loop runs once per l and leaf.
             n = nums[l - 1] if l <= len(nums) else nums[-1]
             d = dens[l - 1] if l <= len(dens) else dens[-1]
-            if n / d * (1.0 + _SLACK) > cut:
-                if runs and runs[-1][1] == a:
-                    runs[-1][1] = b
-                else:
-                    runs.append([a, b])
-        best = max([best, *_refine_l(gamma, l, runs, tol)])
+            if survives(n / d, cut):
+                kept.append((a, b))
+        best = max([best, *_refine_l(gamma, l, runs(kept), tol)])
     value, neg_l, neg_t = best
     return -neg_l, -neg_t, value
 
@@ -340,9 +276,11 @@ def best_l(gamma: float, tol: float = 1e-12) -> Tuple[int, float, float]:
     the l with l * gamma >= 1 up to ceil(2/gamma) - 1 and returns
     ``(l_star, t_star, value)``; for gamma >= 1 nothing is searched.
     Ties break toward smaller l.  No l outside the window can win
-    (module docstring); the upper edge is attained at k = 1
-    (l_star = 2m + 1) for every m <= 15 (checked at 60 significant
-    digits).  Rounding never drops an l that the exact rules keep: the
+    (module docstring).  At k = 1 the exact argmax is the upper edge
+    2m + 1 for every m <= 15 (checked at 60 significant digits), but the
+    returned l_star is 2m + 1 only up to m = 13: it is 28 and 30 at
+    m = 14 and 15, where larger l tie in floats (ROADMAP item 2).
+    Rounding never drops an l that the exact rules keep: the
     float ceil(2/gamma) is never below the exact ceil(2(m+1)/k) (checked
     for m, k <= 500), and an l is skipped only if the float
     l * gamma < 1 - 1e-12, which a few ulps of rounding cannot reach

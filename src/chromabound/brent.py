@@ -1,28 +1,55 @@
-"""Brent's method for a scalar maximum on a bracket, and the best-first
-cell search on [0, 1) built on it, in pure Python.
+"""Brent's method on a bracket, and the one best-first cell search on
+[0, 1] built on it, in pure Python (no numpy).
 
-The module does not import numpy, so no command that searches with it
-loads numpy.  ``cell_search_max`` is the search of
-``special_functions.one_minus_t_theta_max`` and of ``lattice_theta``'s
-``mu``; ``optimize`` re-exports ``golden_section_max`` for its grid
-search, which only the tests still run.
+``bisect_cells`` is the cell search of every maximization over t:
+``bound_engine`` calls it for ``best_l`` and ``maximize_over_t``, and
+``cell_search_max`` (``one_minus_t_theta_max``, ``lattice_theta``'s
+``mu``) is it plus Brent's method.  The caller brings a visit of a point
+and a proven bound on a cell; the search rules are:
+
+- ``_START_CELLS`` equal cells of [0, 1]; the visit sees every end once,
+  t = 0 and 1 included, before a cell at that end is bounded;
+- a cell is dropped once its bound times 1 + ``_SLACK`` is at most the
+  best value visited, and the one with the largest bound is bisected
+  first, down to ``_LEAF_WIDTH``;
+- the surviving leaves merge into runs of adjacent leaves (``runs``),
+  which the caller refines by Brent's method (``golden_section_max``);
+- the largest key wins: value first, then the caller's tie rules (the
+  smaller t; for ``best_l`` first the smaller l).
+
+``optimize`` re-exports ``golden_section_max`` for its grid search,
+which only the tests still run.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 #: The golden-section fraction (3 - sqrt(5)) / 2 of Brent's fallback step.
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
-# The cells of ``cell_search_max``, with the values of ``bound_engine``'s
-# search: equal start cells of [0, 1), the width below which a cell is no
-# longer bisected, and the relative margin on a cell bound (a cell is
-# dropped only when bound * (1 + _SLACK) <= best).
+#: Equal cells of [0, 1] whose ends are visited before anything is
+#: pruned.  Their interior ends give the first best value, and each cell
+#: gets a bound; 8 cells cost less than the bisection they save.
 _START_CELLS = 8
+
+#: Cells are bisected down to this width, and Brent's method refines
+#: each run of adjacent surviving leaves.  Narrower leaves cost more
+#: visits.  Wider ones stretch the runs, and for ``bound_engine`` push
+#: them up to larger t, where its no-op rule comes later, and let the
+#: leaf at t = 1 survive: its bound l / D_l(a) stays above the best value
+#: unless 1 - a < value / l, about 18 / 1002 at bound --m 500, the largest
+#: window of the CLI.  (From m = 660 at k = 1 on, that leaf survives at
+#: this width too, and every l of the window is refined.)
 _LEAF_WIDTH = 2.0 ** -6
+
+#: Relative margin on a cell bound, for the float rounding of the bounds.
+#: In ``bound_engine`` every float operation of a pass is monotone in t,
+#: pow included, so the float R_l(t) never exceeds the float bound; the
+#: margin covers a pow off by an ulp, and exceeds the 2 * top roundings
+#: of the two sums (2.2e-11 at top = 10^5) for every top up to 10^5.
 _SLACK = 1e-10
 
 
@@ -90,6 +117,75 @@ def golden_section_max(
     return x, fx
 
 
+def survives(bound: float, best: float) -> bool:
+    """Whether a cell with this bound can still beat the value ``best``."""
+    return bound * (1.0 + _SLACK) > best
+
+
+def bisect_cells(
+    visit: Callable[[float, float], Optional[tuple]],
+    bound: Callable[[float, float], float],
+) -> Tuple[tuple, List[Tuple[float, float]]]:
+    """Bisect [0, 1] best first, dropping each cell whose bound cannot win.
+
+    ``visit(t, best)`` is called once at each end of each cell, t = 0
+    and t = 1 included, with the best value so far.  It returns the key
+    of the best point at t, a tuple whose first entry is its value and
+    whose later entries break ties (the larger key wins), or None when t
+    holds no point or none whose value reaches ``best``.  ``bound(a, b)``
+    bounds every value on the cell [a, b]; it is called after both ends
+    are visited.
+
+    Returns ``(best, leaves)``: the largest key visited, and the cells
+    of width at most ``_LEAF_WIDTH`` whose bound survives it, as
+    ``(a, b)`` in order of t.
+    """
+    best: tuple = (-math.inf,)
+    cells: List[Tuple[float, float, float]] = []  # (-bound, a, b), to bisect
+    leaves: List[Tuple[float, float, float]] = []  # (bound, a, b)
+
+    def see(t: float) -> None:
+        nonlocal best
+        key = visit(t, best[0])
+        if key is not None:
+            best = max(best, key)
+
+    def push(a: float, b: float) -> None:
+        cap = bound(a, b) * (1.0 + _SLACK)
+        if cap <= best[0]:
+            return
+        if b - a <= _LEAF_WIDTH:
+            leaves.append((cap, a, b))
+        else:
+            heapq.heappush(cells, (-cap, a, b))
+
+    ends = [i / _START_CELLS for i in range(_START_CELLS + 1)]
+    for t in ends:
+        see(t)
+    for a, b in zip(ends, ends[1:]):
+        push(a, b)
+    while cells:
+        neg, a, b = heapq.heappop(cells)
+        if -neg <= best[0]:
+            break  # every cell left is bounded as low
+        mid = 0.5 * (a + b)
+        see(mid)
+        push(a, mid)
+        push(mid, b)
+    return best, sorted((a, b) for cap, a, b in leaves if cap > best[0])
+
+
+def runs(leaves: List[Tuple[float, float]]) -> List[List[float]]:
+    """Adjacent leaves, given in order of t, merged into runs [a, b]."""
+    merged: List[List[float]] = []
+    for a, b in leaves:
+        if merged and merged[-1][1] == a:
+            merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    return merged
+
+
 def cell_search_max(
     rising: Callable[[float], float],
     falling: Callable[[float], float],
@@ -101,64 +197,28 @@ def cell_search_max(
     ``rising`` must not fall and ``falling`` must be nonnegative and not
     rise on [0, 1), so on a cell [a, b] with b < 1 the product is at most
     falling(a) rising(b); ``last_bound(a)`` must bound it on the last
-    cell [a, 1).  The search runs by the rules of ``bound_engine``'s:
-    ``_START_CELLS`` equal cells, bisected best first down to
-    ``_LEAF_WIDTH``, and a cell is dropped once its bound, times
-    1 + ``_SLACK`` (a margin for the float rounding of the bounds), is at
-    most the best value evaluated.  Brent's method
-    (``golden_section_max``, down to ``xtol``) refines each run of
+    cell [a, 1).  ``bisect_cells`` prunes with these bounds, and Brent's
+    method (``golden_section_max``, down to ``xtol``) refines each run of
     adjacent surviving leaves.  ``rising`` is evaluated at t = 0 and at
     points of (0, 1), never at 1.
 
     Returns ``(t_star, value)``: the best point of (0, 1) evaluated, ties
     going to the smaller t.
     """
-
-    def f(t: float) -> float:
-        return falling(t) * rising(t)
-
     values = {}  # rising(t) at each end evaluated
-    best = (-math.inf, -0.0)  # (value, -t): ties go to the smaller t
-    cells: List[Tuple[float, float, float]] = []  # (-bound, a, b), to bisect
-    leaves: List[Tuple[float, float, float]] = []  # (bound, a, b)
 
-    def visit(t: float) -> None:
-        nonlocal best
+    def visit(t: float, best: float) -> Optional[Tuple[float, float]]:
+        if t == 1.0:
+            return None
         values[t] = rising(t)
-        if t > 0.0:
-            best = max(best, (falling(t) * values[t], -t))
+        return (falling(t) * values[t], -t) if t > 0.0 else None
 
-    def push(a: float, b: float) -> None:
-        bound = falling(a) * values[b] if b < 1.0 else last_bound(a)
-        bound *= 1.0 + _SLACK
-        if bound <= best[0]:
-            return
-        if b - a <= _LEAF_WIDTH:
-            leaves.append((bound, a, b))
-        else:
-            heapq.heappush(cells, (-bound, a, b))
+    def bound(a: float, b: float) -> float:
+        return falling(a) * values[b] if b < 1.0 else last_bound(a)
 
-    ends = [i / _START_CELLS for i in range(_START_CELLS + 1)]
-    for t in ends[:-1]:
-        visit(t)
-    for a, b in zip(ends, ends[1:]):
-        push(a, b)
-    while cells:
-        neg, a, b = heapq.heappop(cells)
-        if -neg <= best[0]:
-            break  # every cell left is bounded as low
-        mid = 0.5 * (a + b)
-        visit(mid)
-        push(a, mid)
-        push(mid, b)
-    runs: List[List[float]] = []
-    for a, b in sorted((a, b) for bound, a, b in leaves if bound > best[0]):
-        if runs and runs[-1][1] == a:
-            runs[-1][1] = b
-        else:
-            runs.append([a, b])
-    for a, b in runs:
-        t, v = golden_section_max(f, a, b, xtol)
+    best, leaves = bisect_cells(visit, bound)
+    for a, b in runs(leaves):
+        t, v = golden_section_max(lambda x: falling(x) * rising(x), a, b, xtol)
         best = max(best, (v, -t))
     value, neg_t = best
     return -neg_t, value

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chromabound import bound_engine
+from chromabound import bound_engine, brent
 from chromabound.optimize import GRID
 from chromabound import (
     BoundQuery,
@@ -48,20 +48,34 @@ def full_sums(t, gamma, top):
 
 @pytest.fixture
 def search_log(monkeypatch):
-    """The l that best_l refines, and the (args, result) of its _prune call."""
+    """The l that best_l refines, and for each search the (gamma, lo, hi)
+    it covers with the (best, leaves) of its cell search, each leaf as
+    ``(a, b, N at a, D at a, N at b, D at b)``, the form ``_no_op`` takes."""
     refined, pruned = [], []
-    refine, prune = bound_engine._refine_l, bound_engine._prune
+    refine, search, bisect = bound_engine._refine_l, bound_engine._search, bound_engine.bisect_cells
 
     def counting(gamma, l, runs, tol):
         refined.append(l)
         return refine(gamma, l, runs, tol)
 
-    def keeping(*args):
-        pruned.append((args, prune(*args)))
-        return pruned[-1][1]
+    def searching(gamma, lo, hi, tol):
+        pruned.append(((gamma, lo, hi), None))
+        return search(gamma, lo, hi, tol)
+
+    def keeping(visit, bound):
+        (gamma, lo, hi), _ = pruned[-1]
+        best, cells = bisect(visit, bound)
+
+        def sums(t):
+            r = t ** gamma
+            return bound_engine._running_sums(r, r, hi), bound_engine._running_sums(t, 1.0, hi)
+
+        pruned[-1] = ((gamma, lo, hi), (best, [(a, b, *sums(a), *sums(b)) for a, b in cells]))
+        return best, cells
 
     monkeypatch.setattr(bound_engine, "_refine_l", counting)
-    monkeypatch.setattr(bound_engine, "_prune", keeping)
+    monkeypatch.setattr(bound_engine, "_search", searching)
+    monkeypatch.setattr(bound_engine, "bisect_cells", keeping)
     return refined, pruned
 
 
@@ -195,7 +209,7 @@ class TestSearchProofs:
         # at random.
         rng = random.Random(18)
         top = math.ceil(2.0 / gamma) - 1
-        slack = 1.0 + bound_engine._SLACK
+        slack = 1.0 + brent._SLACK
         for width in (2.0 ** -9, 2.0 ** -6, 2.0 ** -3, 0.5):
             for a in [0.0, 1.0 - width] + [rng.uniform(0.0, 1.0 - width) for _ in range(5)]:
                 b = a + width
