@@ -7,13 +7,12 @@
 ``mu``) is it plus Brent's method.  The caller brings a visit of a point
 and a proven bound on a cell; the search rules are:
 
-- ``_START_CELLS`` equal cells of [0, 1]; the visit sees every end once,
-  t = 0 and 1 included, before a cell at that end is bounded;
+- ``_START_CELLS`` equal cells of [0, 1], whose ends are all visited;
 - a cell is dropped once its bound times 1 + ``_SLACK`` is at most the
   best value visited, and the one with the largest bound is bisected
-  first, down to ``_LEAF_WIDTH``;
-- the surviving leaves merge into runs of adjacent leaves (``runs``),
-  which the caller refines by Brent's method (``golden_section_max``);
+  first, down to ``_LEAF_WIDTH`` (``_LAST_WIDTH`` if it ends at 1);
+- the surviving leaves merge into runs (``runs``), which the caller
+  refines by Brent's method (``golden_section_max``);
 - the largest key wins: value first, then the caller's tie rules (the
   smaller t; for ``best_l`` first the smaller l).
 
@@ -37,13 +36,16 @@ _START_CELLS = 8
 
 #: Cells are bisected down to this width, and Brent's method refines
 #: each run of adjacent surviving leaves.  Narrower leaves cost more
-#: visits.  Wider ones stretch the runs, and for ``bound_engine`` push
-#: them up to larger t, where its no-op rule comes later, and let the
-#: leaf at t = 1 survive: its bound l / D_l(a) stays above the best value
-#: unless 1 - a < value / l, about 18 / 1002 at bound --m 500, the largest
-#: window of the CLI.  (From m = 660 at k = 1 on, that leaf survives at
-#: this width too, and every l of the window is refined.)
+#: visits; wider ones stretch the runs, and in ``bound_engine`` push them
+#: up to larger t, where its no-op rule comes later.
 _LEAF_WIDTH = 2.0 ** -6
+
+#: A cell that ends at t = 1 is bisected on down to this width, so a
+#: last cell that is never pruned still ends after 34 more visits.  In
+#: ``bound_engine`` its bound l / D_l(a) beats the best value while
+#: 1 - a >= value / l, so a last leaf of _LEAF_WIDTH would keep every l
+#: of the window alive once l passes about 64 times the value.
+_LAST_WIDTH = 2.0 ** -40
 
 #: Relative margin on a cell bound, for the float rounding of the bounds.
 #: In ``bound_engine`` every float operation of a pass is monotone in t,
@@ -136,9 +138,8 @@ def bisect_cells(
     bounds every value on the cell [a, b]; it is called after both ends
     are visited.
 
-    Returns ``(best, leaves)``: the largest key visited, and the cells
-    of width at most ``_LEAF_WIDTH`` whose bound survives it, as
-    ``(a, b)`` in order of t.
+    Returns ``(best, leaves)``: the largest key visited, and the leaves
+    whose bound survives it, as ``(a, b)`` in order of t.
     """
     best: tuple = (-math.inf,)
     cells: List[Tuple[float, float, float]] = []  # (-bound, a, b), to bisect
@@ -154,7 +155,7 @@ def bisect_cells(
         cap = bound(a, b) * (1.0 + _SLACK)
         if cap <= best[0]:
             return
-        if b - a <= _LEAF_WIDTH:
+        if b - a <= (_LEAF_WIDTH if b < 1.0 else _LAST_WIDTH):
             leaves.append((cap, a, b))
         else:
             heapq.heappush(cells, (-cap, a, b))

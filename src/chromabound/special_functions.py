@@ -309,9 +309,8 @@ def one_minus_t_theta_max(gamma: float, tol: float = 1e-12) -> Tuple[float, floa
     t -> 0 limit 1, reported at t_star = 0: term by term
     theta(t^gamma) <= theta(t) = sum t^(j(j-1)/2) <= sum t^(j-1) =
     1/(1-t), since j(j-1)/2 >= j - 1.  For gamma < 1 the objective
-    exceeds 1 and is maximized by ``brent.cell_search_max``, a best-first
-    bisection of [0, 1) by the rules of ``bound_engine``'s search with
-    Brent refinement down to ``tol``.  Two proven cell bounds:
+    exceeds 1 and is maximized by ``brent.cell_search_max``, down to
+    ``tol``, with two proven cell bounds:
 
     - on [a, b] with b < 1,  (1-t) theta(t^gamma) <= (1-a) theta(b^gamma),
       since theta rises with its argument and 1 - t falls;

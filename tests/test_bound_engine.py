@@ -169,6 +169,19 @@ class TestBestL:
         no_op = [all(bound_engine._no_op(l, leaf) for leaf in leaves) for l in range(lo + 1, hi + 1)]
         assert no_op == [False] * (len(refined) - 1) + [True] * (hi - refined[-1])
 
+    @pytest.mark.parametrize("m", [1000, 100000])
+    def test_large_windows_refine_one_l(self, search_log, m):
+        # A cell that ends at t = 1 is bisected until it is pruned, so the
+        # leaf at t = 1 no longer keeps every l of the window alive (all
+        # 1001 l were refined at m = 1000 when that leaf stopped at 2^-6).
+        refined, pruned = search_log
+        l_star, _, value = best_l(1.0 / (m + 1))
+        assert refined == [m + 1]
+        assert l_star == m + 1 and value > 1.0
+        ((_, lo, hi), (_, leaves)), = pruned
+        assert (lo, hi) == (m + 1, 2 * m + 1)
+        assert all(b < 1.0 for _, b, *_ in leaves)
+
     @pytest.mark.parametrize(
         "gamma",
         sorted({k / (m + 1) for m in range(1, 31) for k in range(1, 4)} | {0.15, 0.3, 0.7}),

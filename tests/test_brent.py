@@ -75,3 +75,38 @@ def test_visit_sees_every_end_once_with_the_best_value_so_far():
 )
 def test_runs_merge_adjacent_leaves(leaves, merged):
     assert runs(leaves) == merged
+
+
+def hump_visit(seen):
+    def visit(t, best):
+        seen.append(t)
+        return (t * (1.0 - t), -t) if 0.0 < t < 1.0 else None
+
+    return visit
+
+
+def test_a_loose_last_bound_is_split_and_pruned():
+    # 1000 (1 - a) bounds t (1 - t) on [a, 1) very loosely, and b (1 - a)
+    # bounds it on [a, b].  The last cell is bisected past _LEAF_WIDTH
+    # until its bound falls to the best value, and no leaf ends at 1.
+    seen = []
+    best, leaves = bisect_cells(
+        hump_visit(seen), lambda a, b: b * (1.0 - a) if b < 1.0 else 1000.0 * (1.0 - a)
+    )
+    assert best == (0.25, -0.5)
+    assert any(1.0 - brent._LEAF_WIDTH < t < 1.0 for t in seen)
+    assert all(b < 1.0 for _, b in leaves)
+
+    rising, falling = (lambda t: t / (1.0 - t)), (lambda t: (1.0 - t) ** 2)
+    tight = cell_search_max(rising, falling, lambda a: 1.0 - a)
+    assert cell_search_max(rising, falling, lambda a: 1000.0 * (1.0 - a)) == tight
+
+
+def test_a_last_cell_that_is_never_pruned_stops_at_the_last_width():
+    seen = []
+    best, leaves = bisect_cells(
+        hump_visit(seen), lambda a, b: b * (1.0 - a) if b < 1.0 else 1e6
+    )
+    assert best == (0.25, -0.5)
+    assert leaves[-1] == (1.0 - brent._LAST_WIDTH, 1.0)
+    assert len(seen) < 100
