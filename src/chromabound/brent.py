@@ -152,8 +152,8 @@ def bisect_cells(
             best = max(best, key)
 
     def push(a: float, b: float) -> None:
-        cap = bound(a, b) * (1.0 + _SLACK)
-        if cap <= best[0]:
+        cap = bound(a, b)
+        if not survives(cap, best[0]):
             return
         if b - a <= (_LEAF_WIDTH if b < 1.0 else _LAST_WIDTH):
             leaves.append((cap, a, b))
@@ -167,13 +167,13 @@ def bisect_cells(
         push(a, b)
     while cells:
         neg, a, b = heapq.heappop(cells)
-        if -neg <= best[0]:
+        if not survives(-neg, best[0]):
             break  # every cell left is bounded as low
         mid = 0.5 * (a + b)
         see(mid)
         push(a, mid)
         push(mid, b)
-    return best, sorted((a, b) for cap, a, b in leaves if cap > best[0])
+    return best, sorted((a, b) for cap, a, b in leaves if survives(cap, best[0]))
 
 
 def runs(leaves: List[Tuple[float, float]]) -> List[List[float]]:
