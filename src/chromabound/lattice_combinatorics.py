@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -168,26 +168,38 @@ def profile_diameter_bruteforce(
     both the counts, and |x - y|^2 = sum_{a,b} T[a][b] (a - b)^2.
     Conversely every nonnegative integer table with these margins comes
     from some y: fill the positions where x holds a with T[a][b] copies
-    of each b.  So the maximum over the tables, searched exhaustively
-    row by row, is the maximum over the arrangements; there are far
-    fewer tables than arrangements.  ``budget`` caps the number of
-    arrangements, multinomial(n; counts).
+    of each b.  So the maximum over the tables is the maximum over the
+    arrangements.
+
+    The tables are searched row by row as a dynamic program over
+    (a, columns), with ``columns`` the column sums that rows 0 .. a-1
+    left over.  Each row adds its own sum of T[a][b] (a - b)^2 to the
+    objective, and which rows a, a+1, ... can still be filled in
+    depends only on ``columns``, not on how the earlier rows used the
+    rest.  So the best completion of rows a onward is a function of
+    (a, columns) alone (optimal substructure), computed once and
+    memoized: the result is still the maximum over every table.
+    ``budget`` caps the number of arrangements, multinomial(n; counts).
     """
     counts = profile.counts
     total = multinomial(profile.n, counts)
     if total > budget:
         raise ValueError(f"{total} arrangements exceed the budget of {budget}")
+    best: Dict[Tuple[int, Tuple[int, ...]], int] = {}
 
     def widest(a: int, columns: Tuple[int, ...]) -> int:
         # Largest sum of T[r][b] (r - b)^2 over rows r >= a, given the
         # column sums the rows before a left over.
         if a == len(counts):
             return 0
-        return max(
-            sum(t * (a - b) * (a - b) for b, t in enumerate(row))
-            + widest(a + 1, tuple(c - t for c, t in zip(columns, row)))
-            for row in _compositions(counts[a], columns)
-        )
+        key = (a, columns)
+        if key not in best:
+            best[key] = max(
+                sum(t * (a - b) * (a - b) for b, t in enumerate(row))
+                + widest(a + 1, tuple(c - t for c, t in zip(columns, row)))
+                for row in _compositions(counts[a], columns)
+            )
+        return best[key]
 
     return widest(0, counts) // 2
 
@@ -196,7 +208,9 @@ def alternating_square_identity(j: int) -> Tuple[int, int]:
     """Both sides of  sum_{i=0..j} (j-i)^2 (-1)^i = C(j+1, 2)."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    lhs = sum((j - i) * (j - i) * (-1) ** i for i in range(j + 1))
+    # The term of i has sign (-1)^i and square s^2 with s = j - i, so it
+    # is positive exactly when s has the parity of j.
+    lhs = sum(s * s for s in range(j, -1, -2)) - sum(s * s for s in range(j - 1, -1, -2))
     rhs = (j + 1) * j // 2
     return lhs, rhs
 

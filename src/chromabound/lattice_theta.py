@@ -60,7 +60,10 @@ _TAIL_MARGIN = 1.0 + 2.0 ** -30
 
 
 class TailBoundError(ValueError):
-    """Raised when a truncated series cannot certify its tail; increase K."""
+    """Raised when a truncated series cannot certify its tail; increase K.
+
+    ``mu_dn`` raises it too when theta_{D_n} leaves the float range.
+    """
 
 
 class NoBoundError(ValueError):
@@ -471,21 +474,31 @@ def mu_dn(n: int, tol: float = 1e-10) -> MuResult:
     rounding margin ``_TAIL_MARGIN``.  On [a, 1) the objective is at most
     the n-th power of ``_theta3_cell_bound(a)``, since |theta4| <= theta3
     gives theta_{D_n} <= theta3^n.
+
+    For large n (n = 500, say) theta_{D_n} leaves the float range at
+    points the search visits (theta3^n overflows); it then raises
+    TailBoundError saying so.  A larger tol does not help.
     """
 
     def tail(t: float) -> float:
         t3, tail3 = jacobi_theta_and_tail(3, t)
         return n * tail3 * (t3 + tail3) ** (n - 1) * _TAIL_MARGIN
 
-    return _mu(
-        f"D{n}",
-        n,
-        lambda t: dn_theta(n, t),
-        tail,
-        lambda a: _theta3_cell_bound(a) ** n,
-        tol,
-        _LARGER_TOL,
-    )
+    try:
+        return _mu(
+            f"D{n}",
+            n,
+            lambda t: dn_theta(n, t),
+            tail,
+            lambda a: _theta3_cell_bound(a) ** n,
+            tol,
+            _LARGER_TOL,
+        )
+    except OverflowError:
+        raise TailBoundError(
+            f"theta_D{n} leaves the float range on (0, 1), so the closed form"
+            f" cannot be maximized at n = {n}; a larger tol does not help"
+        ) from None
 
 
 def double_cap_compare(mu: float) -> str:

@@ -117,10 +117,15 @@ def distinctness_indicator(labels: Sequence) -> int:
     k = len(labels)
     if not 2 <= k <= 7:
         raise ValueError("tuple length must be between 2 and 7")
-    pattern = tuple(
-        next((j for j in range(i) if labels[j] == labels[i]), i) for i in range(k)
-    )
-    return _pattern_indicator(pattern)
+    pattern = []
+    for i in range(k):
+        for j in range(i):
+            if labels[j] == labels[i]:
+                pattern.append(j)
+                break
+        else:
+            pattern.append(i)
+    return _pattern_indicator(tuple(pattern))
 
 
 def partition_coefficients(k: int) -> Dict[SetPartition, int]:

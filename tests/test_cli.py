@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -334,6 +335,31 @@ class TestVerify:
         monkeypatch.setattr(layer, name, wrong)
         result = verify.run_check(suite, getattr(verify, check))
         assert result == verify.CheckResult(suite, check, False, first)
+
+    def test_diameter_check_runs_each_distinct_profile_once(self, monkeypatch):
+        # The eligible corpus profiles in corpus order, each at its first
+        # draw.  The corpus lists pairing-ordered counts b; the profile is
+        # the one arrangement of b that _pairing_order maps back to b.
+        expected = []
+        for b in verify._combinatorics_corpus()[0]:
+            counts = next(
+                c for c in itertools.permutations(b) if lattice_combinatorics._pairing_order(c) == b
+            )
+            n = sum(counts)
+            if n and lattice_combinatorics.multinomial(n, counts) <= 3000 and counts not in expected:
+                expected.append(counts)
+        assert len(expected) == 70
+        calls = []
+        bruteforce = lattice_combinatorics.profile_diameter_bruteforce
+
+        def counted(profile, *args, **kwargs):
+            calls.append(profile.counts)
+            return bruteforce(profile, *args, **kwargs)
+
+        monkeypatch.setattr(lattice_combinatorics, "profile_diameter_bruteforce", counted)
+        result = verify.run_check("combinatorics", verify.diameter_formula_vs_bruteforce)
+        assert result.passed
+        assert calls == expected
 
     def test_plain_output_lists_every_check_once(self, runner):
         result = runner.invoke(cli, ["verify", "--suite", "all"])

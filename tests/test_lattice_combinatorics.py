@@ -211,6 +211,14 @@ class TestProfileDiameter:
         with pytest.raises(ValueError, match="budget"):
             profile_diameter_bruteforce(CompositionProfile((10, 10)), budget=10)
 
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_bruteforce_on_many_coordinates(self, k):
+        # 12 and 14 coordinates, 7.5e6 and 6.8e8 arrangements: the
+        # memoized table search stays fast where the plain one took
+        # seconds (k = 6) and did not finish in 90 s (k = 7).
+        profile = CompositionProfile((2,) * k)
+        assert profile_diameter_bruteforce(profile, budget=10**9) == profile_diameter(profile)
+
 
 def recursive_arrangements(counts):
     """Oracle: depth-first placement, smallest free symbol first."""
@@ -234,14 +242,15 @@ def recursive_arrangements(counts):
 
 class TestBruteforceAgainstArrangements:
     def test_every_small_count_vector(self):
-        # Every count vector with n <= 8 and l <= 3, the ones whose pairing
-        # order is not monotone (profile_diameter raises) included: the
-        # table search equals the maximum over all arrangements, with one
-        # endpoint pinned to the sorted arrangement.
+        # Every count vector with n <= 8 and l <= 3, and with n <= 6 and
+        # l = 4, the ones whose pairing order is not monotone
+        # (profile_diameter raises) included: the table search equals the
+        # maximum over all arrangements, with one endpoint pinned to the
+        # sorted arrangement.
         not_monotone = 0
-        for l in range(0, 4):
-            for counts in itertools.product(range(9), repeat=l + 1):
-                if sum(counts) > 8:
+        for l, n_max in ((0, 8), (1, 8), (2, 8), (3, 8), (4, 6)):
+            for counts in itertools.product(range(n_max + 1), repeat=l + 1):
+                if sum(counts) > n_max:
                     continue
                 arrangements = recursive_arrangements(counts)
                 expected = max(
@@ -269,6 +278,11 @@ class TestAlternatingSquareIdentity:
         for j in range(201):
             lhs, rhs = alternating_square_identity(j)
             assert lhs == rhs == math.comb(j + 1, 2)
+
+    def test_lhs_is_the_alternating_sum(self):
+        for j in range(201):
+            literal = sum((j - i) ** 2 * (-1) ** i for i in range(j + 1))
+            assert alternating_square_identity(j)[0] == literal
 
 
 class TestMultinomialLemma:

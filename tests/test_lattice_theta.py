@@ -324,6 +324,11 @@ class TestMu:
             with pytest.raises(NoBoundError, match="not above its t -> 0 limit 1"):
                 mu_dn(n, tol)
 
+    def test_dn_past_the_float_range_raises(self):
+        # theta3^500 overflows a float at cells the search visits.
+        with pytest.raises(TailBoundError, match="theta_D500 leaves the float range"):
+            mu_dn(500)
+
     @pytest.mark.parametrize("n, K", [(2, 1100), (5, 4096)])
     def test_long_dn_series_certifies_no_bound(self, n, K):
         # From K on, theta plus tail is finite and at most 1 on the whole grid.

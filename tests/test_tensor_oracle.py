@@ -115,6 +115,14 @@ class TestDistinctnessIndicator:
         # Lists compare by value and cannot be hashed.
         for labels in [([0], [1], [0]), ([0], [1], [2], [3]), ([1, 2],) * 4, ([], [0], [], [0])]:
             assert distinctness_indicator(labels) == brute_indicator(labels)
+        assert distinctness_indicator(([1], [1], [2])) == 0
+
+    def test_compares_by_equality_not_identity(self):
+        # One nan object three times: nan != nan, so the labels are all
+        # distinct.  An identity-first test such as tuple.index would find
+        # every label equal to the first and give -2.
+        x = float("nan")
+        assert distinctness_indicator((x, x, x)) == 1
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_three_valued_structure(self, k):
