@@ -60,13 +60,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import truediv
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import special_functions
 from .brent import bisect_cells, golden_section_max, runs, survives
-
-if TYPE_CHECKING:
-    from .special_functions import ArrayLike
 
 
 @dataclass(frozen=True)
@@ -112,20 +109,17 @@ class BoundResult:
         }
 
 
-def theta_ratio(t: ArrayLike, gamma: float, l: int) -> ArrayLike:
+def theta_ratio(t: float, gamma: float, l: int) -> float:
     """Ratio  theta(t^gamma; l) / (1 + t + ... + t^(l-1)).
 
     Both sums have l terms.  Defined on [0, 1]; the value at t = 0 is the
     t -> 0 limit, which is 1, and the value at t = 1 is l / l = 1.
-    ``theta_truncated`` checks ``l`` and ``gamma``.
     """
-    num = special_functions.theta_truncated(t, gamma, l)
-    t = special_functions.check_unit_interval(t, hi_open=False)
-    den = p = special_functions.full_like(t, 1.0)
-    for _ in range(l - 1):
-        p = p * t
-        den = den + p
-    return num / den
+    if l < 1:
+        raise ValueError("l must be a positive integer")
+    if not gamma > 0:  # also rejects nan
+        raise ValueError("gamma must be positive")
+    return _ratio(special_functions.check_unit_interval(t, hi_open=False), gamma, l)
 
 
 def _running_sums(q: float, r: float, top: int) -> Tuple[list, list]:
@@ -153,9 +147,10 @@ def _running_sums(q: float, r: float, top: int) -> Tuple[list, list]:
 
 
 def _ratio(t: float, gamma: float, l: int) -> float:
-    # theta_ratio(t, gamma, l) bit for bit at a float t: each sum of
-    # _running_sums alone, stopped at its first term that leaves it
-    # unchanged.  Brent's objective, so it builds no lists.
+    # R_l(t) at a float t: each sum of _running_sums alone, stopped at its
+    # first term that leaves it unchanged.  Terms never grow, so the stop
+    # equals the full l-term sum bit for bit.  The body of theta_ratio and
+    # Brent's objective, so it builds no lists.
     q = r = t ** gamma
     num = term = 1.0
     for _ in range(l - 1):

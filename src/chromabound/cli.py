@@ -254,7 +254,7 @@ def _mu_for_label(label: str, K: int, tol: float) -> lattice_theta.MuResult:
 @click.option(
     "--K", "series_k", type=click.IntRange(_MIN_SERIES_K, MAX_SERIES_K),
     # Called only when the option is processed, so that importing this
-    # module and --help leave lattice_theta (and numpy) unloaded.
+    # module and --help leave lattice_theta unloaded.
     default=lambda: lattice_theta.DEFAULT_SERIES_LENGTH,
     help="Series truncation index.",
 )

@@ -26,8 +26,9 @@ O(K * nonzero terms) integer steps.
 
 mu is maximized in pure Python by ``brent.cell_search_max``, a best-first
 bisection of [0, 1) with proven cell bounds and Brent refinement, and
-certified afterwards on a fixed grid of 4096 points whose tail bounds
-are evaluated lazily (``_mu``); the module does not import numpy.
+certified afterwards on ``GRID``, 4096 fixed points of (0, 1) whose
+tail bounds are evaluated lazily (``_mu``).  Every evaluator takes and
+returns Python floats.
 
 Series objects are immutable after construction and safe to share
 across threads.
@@ -38,20 +39,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, List, Tuple
+from typing import Callable, List, Tuple
 
 from .brent import _SLACK, cell_search_max
 from .lattice_combinatorics import _sparse_power
 from .special_functions import (
     SQRT3_OVER_2,
     check_unit_interval,
-    full_like,
     jacobi_theta,
     jacobi_theta_and_tail,
 )
-
-if TYPE_CHECKING:
-    from .special_functions import ArrayLike
 
 DEFAULT_SERIES_LENGTH = 512
 
@@ -105,11 +102,11 @@ class ThetaSeries:
         b = 2.0 * math.sqrt(kp1 / j0)  # a sqrt(K+1)
         return tuple(math.comb(self.dim, i) * b ** i for i in range(self.dim + 1))
 
-    def evaluate(self, t: ArrayLike) -> ArrayLike:
+    def evaluate(self, t: float) -> float:
         """Truncated series value  sum_j N_j t^(2j)  for t in [0, 1)."""
         t = check_unit_interval(t, hi_open=True)
         u = t ** 2
-        acc = full_like(t, 0.0)
+        acc = 0.0
         for c in self._float_coeffs_high_first:
             acc = acc * u + c
         return acc
@@ -151,7 +148,7 @@ class ThetaSeries:
         d + 1 positive terms and of e^-y (y < 3000 wherever the result is a
         normal float).  A float sum that overflows gives inf, the safe side.
         """
-        t = float(check_unit_interval(t, hi_open=True))
+        t = check_unit_interval(t, hi_open=True)
         if t == 0.0:
             return 0.0
         lam = -2.0 * math.log(t)
@@ -191,7 +188,7 @@ class MuResult:
     tail_bound: float
 
 
-def dn_theta(n: int, t: ArrayLike) -> ArrayLike:
+def dn_theta(n: int, t: float) -> float:
     """Theta series of D_n, the even-norm vectors of Z^n.
 
     Equals (theta3(t)^n + theta4(t)^n) / 2; the odd-norm contributions of
@@ -283,10 +280,11 @@ def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
 _LARGER_TOL = "request a larger tol"
 
 
-#: Certification points of ``_mu``: the 4096 equispaced interior points
-#: of (0, 1), computed as numpy.linspace(0, 1, 4098)[1:-1] computes them,
-#: i * (1/4097); (i + 1)/4097 rounds differently at some points.
-_CERT_GRID = tuple((i + 1) * (1.0 / 4097) for i in range(4096))
+#: The 4096 equispaced interior points of (0, 1): the certification
+#: points of ``_mu`` and the scan of ``optimize``.  Computed as
+#: numpy.linspace(0, 1, 4098)[1:-1] computes them, i * (1/4097);
+#: (i + 1)/4097 rounds differently at some points.
+GRID = tuple((i + 1) * (1.0 / 4097) for i in range(4096))
 
 #: Grid points that share one theta bound in ``_exceeds_one``.
 _BLOCK = 16
@@ -305,8 +303,8 @@ def _exceeds_one(
     the float Horner sum itself is monotone in t (nonnegative coefficients),
     so the skip never changes the answer.
     """
-    for start in range(0, len(_CERT_GRID), _BLOCK):
-        block = _CERT_GRID[start : start + _BLOCK]
+    for start in range(0, len(GRID), _BLOCK):
+        block = GRID[start : start + _BLOCK]
         hi = theta(block[-1]) * (1.0 + _SLACK)
         for t in block:
             w = (1.0 - t) ** dim
@@ -333,11 +331,11 @@ def _mu(
     objective is at most theta(b)(1-a)^dim; on the last cell [a, 1) it is
     at most ``last_bound(a)``, which each caller proves for its theta.
 
-    Certification is a check on the result, taken on the grid
-    ``_CERT_GRID``: the grid points before the first one whose tail is
-    not below ``tol`` are certified.  ``tail`` is evaluated lazily, in
-    grid order: on the first 3 points, then on to the first certified
-    point past the maximizer, or to the first uncertified point.
+    Certification is a check on the result, taken on ``GRID``: the grid
+    points before the first one whose tail is not below ``tol`` are
+    certified.  ``tail`` is evaluated lazily, in grid order: on the first
+    3 points, then on to the first certified point past the maximizer, or
+    to the first uncertified point.
 
     A maximum not above 1, the t -> 0 limit, gives no bound.  It raises
     NoBoundError if theta + tail, an upper bound on the untruncated
@@ -353,7 +351,7 @@ def _mu(
     """
     if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
-    grid = _CERT_GRID
+    grid = GRID
     tails: List[float] = []  # tail on grid[0], grid[1], ..., up to the first not below tol
 
     def certified(n: int) -> int:

@@ -20,31 +20,20 @@ checks that same evaluator against the direct sum.  The growth constant
 
 is the asymptotic rate extracted from it.
 
-The public evaluators accept a float or an ndarray for the series
-argument.  A float or an int (or any 0-d argument) returns a Python
-float, and an ndarray returns an ndarray of the same shape;
-``jacobi_theta_and_tail`` returns the Jacobi value and a bound on its
-truncation remainder, each of that type.  The evaluators are pure
-functions of their arguments and hold no shared state.
-
-numpy is imported only inside the array branches, each reached with an
-ndarray already in hand, so a command that evaluates floats only
-(``constants``, ``verify``) never loads it; ``one_minus_t_theta_max``
-is a pure-Python search.
+The public evaluators take the series argument as a Python float (an
+int or a numpy scalar is converted with ``float``) and return Python
+floats; ``jacobi_theta_and_tail`` returns the Jacobi value and a bound
+on its truncation remainder.  They are pure functions of their
+arguments, hold no shared state and never import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple, Union
+from typing import Tuple
 
 from .brent import cell_search_max
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    ArrayLike = Union[float, np.ndarray]
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -74,47 +63,20 @@ class GammaChiResult:
         return abs(math.exp(self.u_star) - 1.0 - 2.0 * self.u_star)
 
 
-def check_unit_interval(t: ArrayLike, hi_open: bool, name: str = "t") -> ArrayLike:
-    """Validate a series argument against [0, 1] (or [0, 1) if ``hi_open``).
+def check_unit_interval(t: float, hi_open: bool, name: str = "t") -> float:
+    """``t`` as a Python float, checked against [0, 1] (or [0, 1) if ``hi_open``).
 
-    A 0-d argument comes back as a Python float and anything else as a
-    float ndarray, so one evaluator body runs Python arithmetic on the
-    first and numpy arithmetic on the second.  NaN lies in neither
-    interval.  A Python float or int is checked by plain comparisons,
-    without the numpy round trip, so it never loads numpy.
+    NaN lies in neither interval.  An argument that ``float`` cannot
+    convert, such as an array of several points, raises its TypeError.
     """
-    if type(t) is float or type(t) is int:
-        arr = float(t)
-        ok = 0.0 <= arr and (arr < 1.0 if hi_open else arr <= 1.0)
-    else:
-        import numpy as np
-
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            arr = float(arr)
-        ok = (arr >= 0.0) & (arr < 1.0 if hi_open else arr <= 1.0)
-    if not _all(ok):
+    t = float(t)
+    if not (0.0 <= t and (t < 1.0 if hi_open else t <= 1.0)):
         rng = "[0, 1)" if hi_open else "[0, 1]"
         raise ValueError(f"{name} must lie in {rng}")
-    return arr
+    return t
 
 
-def full_like(t: ArrayLike, value: float) -> ArrayLike:
-    """``value`` as a float for a float ``t``, else as an array shaped like ``t``."""
-    if isinstance(t, float):
-        return value
-    import numpy as np
-
-    return np.full_like(t, value)
-
-
-# A float argument gives plain bools, which skip the microsecond cost of
-# a numpy reduction inside per-term loops.
-def _all(mask) -> bool:
-    return mask if isinstance(mask, bool) else bool(mask.all())
-
-
-def theta_truncated(t: ArrayLike, gamma: float, l: int) -> ArrayLike:
+def theta_truncated(t: float, gamma: float, l: int) -> float:
     """Truncated partial theta sum  sum_{j=1..l} t^(gamma * j(j-1)/2).
 
     The j = 1 term has exponent 0 and contributes 1.  Requires t in [0, 1]
@@ -127,7 +89,7 @@ def theta_truncated(t: ArrayLike, gamma: float, l: int) -> ArrayLike:
         raise ValueError("gamma must be positive")
     t = check_unit_interval(t, hi_open=False)
     r = t ** gamma
-    total = term = full_like(t, 1.0)
+    total = term = 1.0
     q = r
     for _ in range(l - 1):
         term = term * q
@@ -136,14 +98,13 @@ def theta_truncated(t: ArrayLike, gamma: float, l: int) -> ArrayLike:
     return total
 
 
-def theta_full(t: ArrayLike, gamma: float = 1.0, tail_tol: float = 1e-15) -> ArrayLike:
+def theta_full(t: float, gamma: float = 1.0, tail_tol: float = 1e-15) -> float:
     """Full partial theta series  sum_{j >= 1} t^(gamma * j(j-1)/2)  for t < 1.
 
     Terms are accumulated until the next term is below 1e-18 of the partial
     sum and an explicit geometric tail bound (consecutive term ratios are
     t^(gamma*j), decreasing in j) certifies the remainder below
-    ``tail_tol`` relative to the sum.  An array stops once every point
-    meets both tests.
+    ``tail_tol`` relative to the sum.
     """
     if not gamma > 0:  # also rejects nan
         raise ValueError("gamma must be positive")
@@ -151,21 +112,19 @@ def theta_full(t: ArrayLike, gamma: float = 1.0, tail_tol: float = 1e-15) -> Arr
         raise ValueError("tail_tol must be positive")
     t = check_unit_interval(t, hi_open=True)
     r = t ** gamma
-    total = term = full_like(t, 1.0)
+    total = term = 1.0
     q = r
     for _ in range(_MAX_TERMS):
         nxt = term * q          # term j+1
         step = q * r            # ratio of term j+2 to term j+1
-        if _all(nxt < _TERM_CUTOFF * total) and _all(
-            nxt <= tail_tol * total * (1.0 - step)
-        ):
+        if nxt < _TERM_CUTOFF * total and nxt <= tail_tol * total * (1.0 - step):
             return total
         total = total + nxt
         term, q = nxt, step
     raise RuntimeError("series did not converge within the term budget")
 
 
-def jacobi_theta_and_tail(kind: int, q: ArrayLike) -> Tuple[ArrayLike, ArrayLike]:
+def jacobi_theta_and_tail(kind: int, q: float) -> Tuple[float, float]:
     """Jacobi theta2, theta3 or theta4 at nome q in [0, 1), with a tail bound.
 
     theta2(q) = sum_{n in Z} q^((n+1/2)^2)
@@ -178,9 +137,6 @@ def jacobi_theta_and_tail(kind: int, q: ArrayLike) -> Tuple[ArrayLike, ArrayLike
     Summation stops once a term drops below 1e-18 of the partial sum.
     Returns ``(value, tail)``: term ratios past the stop are below q, so
     the omitted terms sum to at most  tail = 2 |next term| / (1 - q).
-    An array point leaves the loop at the step where it stops, with its
-    value and tail taken there, as a scalar call takes them; the loop
-    goes on over the points still live only.
     """
     if kind not in (2, 3, 4):
         raise ValueError("kind must be one of 2, 3, 4")
@@ -190,39 +146,22 @@ def jacobi_theta_and_tail(kind: int, q: ArrayLike) -> Tuple[ArrayLike, ArrayLike
         term = q ** 0.25  # q^((n+1/2)^2) at n = 0
         total, w, sign = 2.0 * term, q2, 1.0
     else:
-        term = total = full_like(q, 1.0)  # q^(n^2) at n = 0
+        term = total = 1.0  # q^(n^2) at n = 0
         w, sign = q, (1.0 if kind == 3 else -1.0)
-    pos = None  # a float never compacts
-    if not isinstance(q, float):
-        import numpy as np
-
-        # Flat working arrays of the live points, at positions pos of the
-        # value and remainder arrays.
-        pos, value, rem = np.arange(q.size), np.empty(q.size), np.empty(q.size)
-        term, total, w, q2 = (np.ravel(a) for a in (term, total, w, q2))
     s = sign
-    while pos is None or pos.size:
+    while True:
         term = term * w
         two = 2.0 * term
         total = total + s * two
         w = w * q2
-        # Once a point passes the cutoff its terms fall below half an ulp
-        # of its total, which would not change again: its value is final
-        # and its remainder is taken at this step.
-        still = two > _TERM_CUTOFF * abs(total)
-        if pos is None:
-            if not still:
-                return total, two * w / (1.0 - q)
-        elif not still.all():
-            done = ~still
-            value[pos[done]] = total[done]
-            rem[pos[done]] = two[done] * w[done]
-            pos, term, total, w, q2 = (a[still] for a in (pos, term, total, w, q2))
+        # Past the cutoff the terms fall below half an ulp of the total,
+        # which would not change again.
+        if not two > _TERM_CUTOFF * abs(total):
+            return total, two * w / (1.0 - q)
         s = s * sign
-    return value.reshape(q.shape), rem.reshape(q.shape) / (1.0 - q)
 
 
-def jacobi_theta(kind: int, q: ArrayLike) -> ArrayLike:
+def jacobi_theta(kind: int, q: float) -> float:
     """Jacobi theta function theta2, theta3 or theta4 at nome q in [0, 1).
 
     The value of :func:`jacobi_theta_and_tail`.

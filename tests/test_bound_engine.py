@@ -4,7 +4,7 @@ import random
 import pytest
 
 from chromabound import bound_engine, brent
-from chromabound.optimize import GRID
+from chromabound.lattice_theta import GRID
 from chromabound import (
     BoundQuery,
     asymptotic_lower_bound,
@@ -238,7 +238,7 @@ class TestSearchProofs:
     def test_early_stopped_sums_equal_full_sums(self, gamma):
         rng = random.Random(53)
         top = math.ceil(2.0 / gamma) - 1
-        grid = GRID.tolist()[:: 16 if top > 500 else 1]
+        grid = list(GRID)[:: 16 if top > 500 else 1]
         points = grid + [0.0, 1.0, 1.0 - 2.0 ** -53] + [rng.random() for _ in range(64)]
         ls = sorted({1, 2, max(2, math.ceil(1.0 / gamma)), top})
         def padded(values):

@@ -21,8 +21,7 @@ from chromabound import (
 )
 from chromabound import optimize
 from chromabound.lattice_combinatorics import is_prime
-from chromabound.lattice_theta import _CERT_GRID, _TAIL_MARGIN, _exceeds_one
-from chromabound.optimize import GRID
+from chromabound.lattice_theta import GRID, _TAIL_MARGIN, _exceeds_one
 from chromabound.special_functions import jacobi_theta, jacobi_theta_and_tail
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
@@ -276,7 +275,7 @@ class TestMu:
         if error is None:
             result = mu_lattice(series)
             assert calls["evaluate"] <= 128
-            assert calls["tail_bound"] == bisect.bisect(_CERT_GRID, result.t_star) + 2
+            assert calls["tail_bound"] == bisect.bisect(GRID, result.t_star) + 2
         else:
             with pytest.raises(error):
                 mu_lattice(series)
@@ -295,7 +294,7 @@ class TestMu:
     )
     def test_exceeds_one_matches_a_pointwise_pass(self, theta, tail, dim):
         pointwise = any(
-            theta(t) * (1.0 - t) ** dim + tail(t) * (1.0 - t) ** dim > 1.0 for t in GRID.tolist()
+            theta(t) * (1.0 - t) ** dim + tail(t) * (1.0 - t) ** dim > 1.0 for t in GRID
         )
         assert _exceeds_one(theta, tail, dim) == pointwise
 
@@ -383,7 +382,7 @@ class TestSearchAgainstGrid:
 
     def test_certification_grid_is_the_optimize_grid(self):
         # numpy.linspace computes i * step, so (i + 1) / 4097 would not match.
-        assert list(_CERT_GRID) == GRID.tolist()
+        assert list(GRID) == np.linspace(0.0, 1.0, 4098)[1:-1].tolist()
 
 
 class TestDoubleCapCompare:
@@ -435,7 +434,7 @@ class TestThetaSeriesType:
                     x = t * t
                     by_parts = (1 - x) * math.fsum((1 + a * np.sqrt(js)) ** full.dim * x ** js)
                     assert by_parts <= bound <= by_parts / x ** 2 * (1 + 1e-8), (full.label, K, t)
-                assert all(math.isfinite(short.tail_bound(t)) for t in GRID.tolist()), (full.label, K)
+                assert all(math.isfinite(short.tail_bound(t)) for t in GRID), (full.label, K)
                 assert short.tail_bound(0.0) == 0.0
                 points = [short.tail_bound(np.float64(t)) for t in checked]
                 assert points == [short.tail_bound(float(t)) for t in checked]

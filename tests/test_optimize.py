@@ -5,20 +5,14 @@ import pytest
 
 from chromabound import optimize
 from chromabound.bound_engine import theta_ratio
-from chromabound.optimize import (
-    GRID,
-    GRID_POINTS,
-    golden_section_max,
-    maximize_on_unit_interval,
-)
+from chromabound.lattice_theta import GRID
+from chromabound.optimize import golden_section_max, maximize_on_unit_interval
 
 
 def test_grid_is_fixed_interior_of_unit_interval():
-    assert GRID.shape == (GRID_POINTS,)
+    assert type(GRID) is tuple and len(GRID) == 4096
     assert 0.0 < GRID[0] and GRID[-1] < 1.0
-    assert np.all(np.diff(GRID) > 0.0)
-    with pytest.raises(ValueError):
-        GRID[0] = 0.5
+    assert all(a < b for a, b in zip(GRID, GRID[1:]))
 
 
 def test_golden_section_stops_below_float_spacing():
@@ -43,8 +37,9 @@ def golden_section_evaluations(lo, hi, xtol):
 
 
 def _grid_bracket(f):
-    i = int(np.argmax(f(GRID)))
-    return float(GRID[i - 1]), float(GRID[i + 1])
+    vals = [f(t) for t in GRID]
+    i = vals.index(max(vals))
+    return GRID[i - 1], GRID[i + 1]
 
 
 @pytest.mark.parametrize(
@@ -82,16 +77,16 @@ def test_equal_grid_peaks_are_both_refined():
     # Two grid peaks of exactly 1.0.  The one at the lower index is a tent
     # with its apex on the grid; the other is min(left, right) of two lines
     # whose apex lies between GRID[3000] and GRID[3001] and exceeds 1.
-    c1, c2 = float(GRID[1000]), float(GRID[3000])
-    apex = c2 + 0.5 * (float(GRID[3001]) - c2)
+    c1, c2 = GRID[1000], GRID[3000]
+    apex = c2 + 0.5 * (GRID[3001] - c2)
 
     def f(t):
         tent = 1.0 - np.abs(t - c1)
         spike = np.minimum(1.0 + 10.0 * (t - c2), 1.0 + 1e-4 - 10.0 * (t - apex))
         return np.maximum(tent, spike)
 
-    vals = f(GRID)
-    assert vals[1000] == vals[3000] == 1.0 == vals.max()
+    vals = [f(t) for t in GRID]
+    assert vals[1000] == vals[3000] == 1.0 == max(vals)
     x, v = maximize_on_unit_interval(f)
     assert GRID[3000] < x < GRID[3001]
     assert v > 1.0
@@ -117,17 +112,17 @@ def test_low_endpoints_are_not_refined(brackets):
     x, v = maximize_on_unit_interval(lambda t: -((t - 0.4) ** 2))
     assert len(brackets) == 1
     lo, hi = brackets[0]
-    assert lo < 0.4 < hi and hi - lo < 3.0 / GRID_POINTS
+    assert lo < 0.4 < hi and hi - lo < 3.0 / len(GRID)
     assert x == pytest.approx(0.4, abs=1e-6)
 
 
 @pytest.mark.parametrize(
     "peak, bracket",
     [
-        pytest.param(float(GRID[0]), (0.5 * float(GRID[0]), float(GRID[1])), id="first"),
-        pytest.param(float(GRID[1]), (float(GRID[0]), float(GRID[2])), id="second"),
-        pytest.param(float(GRID[2000]), (float(GRID[1999]), float(GRID[2001])), id="interior"),
-        pytest.param(float(GRID[-2]), (float(GRID[-3]), float(GRID[-1])), id="next-to-last"),
+        pytest.param(GRID[0], (0.5 * GRID[0], GRID[1]), id="first"),
+        pytest.param(GRID[1], (GRID[0], GRID[2]), id="second"),
+        pytest.param(GRID[2000], (GRID[1999], GRID[2001]), id="interior"),
+        pytest.param(GRID[-2], (GRID[-3], GRID[-1]), id="next-to-last"),
     ],
 )
 def test_bracket_spans_the_grid_neighbours(brackets, peak, bracket):
@@ -140,7 +135,7 @@ def test_bracket_spans_the_grid_neighbours(brackets, peak, bracket):
 
 def test_increasing_objective_returns_right_end_maximum(brackets):
     x, v = maximize_on_unit_interval(lambda t: t * t)
-    assert brackets == [(float(GRID[-2]), 0.5 * (1.0 + float(GRID[-1])))]
+    assert brackets == [(GRID[-2], 0.5 * (1.0 + GRID[-1]))]
     assert GRID[-1] < x <= 0.5 * (1.0 + GRID[-1])
     assert v == x * x
 
