@@ -36,9 +36,9 @@ on three facts about R_l:
   Each float operation of a pass is monotone in t, so the float R_l
   obeys the float bound too; the cell's bound is the largest over l.
 - **Early stop.**  A pass stops once its next terms lie below a
-  fraction of an ulp of their sums.  Terms never grow, so every later
-  addition would round to a no-op: the early-stopped sums equal the
-  full l-term sums bit for bit.
+  fraction of an ulp of their sums (one R_l: ``_stopped_sum``).  Terms
+  never grow, so every later addition would round to a no-op: the
+  early-stopped sums equal the full l-term sums bit for bit.
 - **No-op rule.**  If, on every leaf [a, b], term l and t^(l-1) at b
   lie below half an ulp of the (l-1)-term sums at a, then adding them
   changes neither sum anywhere on the leaf, so R_l == R_(l-1) there in
@@ -62,8 +62,8 @@ from dataclasses import dataclass
 from operator import truediv
 from typing import Dict, List, Optional, Tuple
 
-from . import special_functions
 from .brent import bisect_cells, golden_section_max, runs, survives
+from .special_functions import _stopped_sum, check_positive, check_unit_interval, gamma_chi
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,8 @@ def theta_ratio(t: float, gamma: float, l: int) -> float:
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
-    if not gamma > 0:  # also rejects nan
-        raise ValueError("gamma must be positive")
-    return _ratio(special_functions.check_unit_interval(t, hi_open=False), gamma, l)
+    check_positive(gamma, "gamma")
+    return _ratio(check_unit_interval(t, hi_open=False), gamma, l)
 
 
 def _running_sums(q: float, r: float, top: int) -> Tuple[list, list]:
@@ -147,27 +146,10 @@ def _running_sums(q: float, r: float, top: int) -> Tuple[list, list]:
 
 
 def _ratio(t: float, gamma: float, l: int) -> float:
-    # R_l(t) at a float t: each sum of _running_sums alone, stopped at its
-    # first term that leaves it unchanged.  Terms never grow, so the stop
-    # equals the full l-term sum bit for bit.  The body of theta_ratio and
-    # Brent's objective, so it builds no lists.
-    q = r = t ** gamma
-    num = term = 1.0
-    for _ in range(l - 1):
-        term = term * q
-        s = num + term
-        if s == num:
-            break
-        num = s
-        q = q * r
-    den = p = 1.0
-    for _ in range(l - 1):
-        p = p * t
-        s = den + p
-        if s == den:
-            break
-        den = s
-    return num / den
+    # R_l(t) at a float t: each sum of _running_sums alone, by _stopped_sum.
+    # The body of theta_ratio and Brent's objective, so it builds no lists.
+    q = t ** gamma
+    return _stopped_sum(q, q, l) / _stopped_sum(t, 1.0, l)
 
 
 def _at(values: list, l: int) -> float:
@@ -256,8 +238,8 @@ def maximize_over_t(gamma: float, l: int, tol: float = 1e-12) -> Tuple[float, fl
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
-    if not gamma > 0:  # also rejects nan
-        raise ValueError("gamma must be positive")
+    check_positive(gamma, "gamma")
+    check_positive(tol, "tol")
     _, t_star, value = _search(gamma, l, l, tol)
     if value < 1.0:
         return 0.0, 1.0
@@ -281,8 +263,8 @@ def best_l(gamma: float, tol: float = 1e-12) -> Tuple[int, float, float]:
     l * gamma < 1 - 1e-12, which a few ulps of rounding cannot reach
     from l k >= m + 1.
     """
-    if not gamma > 0:  # also rejects nan
-        raise ValueError("gamma must be positive")
+    check_positive(gamma, "gamma")
+    check_positive(tol, "tol")
     hi = math.ceil(2.0 / gamma) - 1
     lo = next((l for l in range(2, hi + 1) if l * gamma >= 1.0 - 1e-12), hi + 1)
     if lo > hi:
@@ -317,7 +299,7 @@ def chromatic_lower_bound(query: BoundQuery, tol: float = 1e-12) -> BoundResult:
 
 def asymptotic_lower_bound(query: BoundQuery) -> float:
     """The closed-form rate GAMMA_CHI * sqrt((m + 1) / k)."""
-    return special_functions.gamma_chi().value * math.sqrt((query.m + 1) / query.k)
+    return gamma_chi().value * math.sqrt((query.m + 1) / query.k)
 
 
 def kupavskii_upper_base(m: int) -> float:

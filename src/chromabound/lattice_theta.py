@@ -41,10 +41,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Tuple
 
-from .brent import _SLACK, cell_search_max
+from .brent import cell_search_max, survives
 from .lattice_combinatorics import _sparse_power
 from .special_functions import (
     SQRT3_OVER_2,
+    check_positive,
     check_unit_interval,
     jacobi_theta,
     jacobi_theta_and_tail,
@@ -296,20 +297,20 @@ def _exceeds_one(
     """Whether theta(t) w + tail(t) w > 1 in floats, w = (1-t)^dim, at some grid point.
 
     theta rises in t, so theta at the last point of a block of
-    ``_BLOCK`` grid points, times 1 + ``_SLACK`` (the search's margin for
-    float rounding), bounds theta on the block.  Float rounding is
-    monotone, so a point where the bound in place of theta keeps the sum
-    at most 1 is settled without its own theta.  For a ``ThetaSeries``
-    the float Horner sum itself is monotone in t (nonnegative coefficients),
-    so the skip never changes the answer.
+    ``_BLOCK`` grid points bounds theta on the block.  Float rounding is
+    monotone, so a point where that bound in place of theta keeps the sum
+    at most 1, by ``brent.survives`` (the search's prune rule), is settled
+    without its own theta.  For a ``ThetaSeries`` the float Horner sum
+    itself is monotone in t (nonnegative coefficients), so the skip never
+    changes the answer.
     """
     for start in range(0, len(GRID), _BLOCK):
         block = GRID[start : start + _BLOCK]
-        hi = theta(block[-1]) * (1.0 + _SLACK)
+        end = theta(block[-1])
         for t in block:
             w = (1.0 - t) ** dim
             rest = tail(t) * w
-            if hi * w + rest > 1.0 and theta(t) * w + rest > 1.0:
+            if survives(end * w + rest, 1.0) and theta(t) * w + rest > 1.0:
                 return True
     return False
 
@@ -349,8 +350,7 @@ def _mu(
     as well.  Each TailBoundError but the last ends with ``remedy``, the
     caller's way to certify more of the grid.
     """
-    if not tol > 0:  # also rejects nan
-        raise ValueError("tol must be positive")
+    check_positive(tol, "tol")
     grid = GRID
     tails: List[float] = []  # tail on grid[0], grid[1], ..., up to the first not below tol
 

@@ -24,7 +24,10 @@ The public evaluators take the series argument as a Python float (an
 int or a numpy scalar is converted with ``float``) and return Python
 floats; ``jacobi_theta_and_tail`` returns the Jacobi value and a bound
 on its truncation remainder.  They are pure functions of their
-arguments, hold no shared state and never import numpy.
+arguments, hold no shared state and never import numpy.  Two helpers
+serve the whole package: ``check_positive``, the one check of a positive
+argument (nan rejected), and ``_stopped_sum``, the partial sum of both
+``theta_truncated`` and ``bound_engine``'s ratio R_l.
 """
 
 from __future__ import annotations
@@ -76,6 +79,29 @@ def check_unit_interval(t: float, hi_open: bool, name: str = "t") -> float:
     return t
 
 
+def check_positive(value: float, name: str) -> None:
+    """Raise ValueError unless ``value > 0``; NaN fails the test too."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+
+
+def _stopped_sum(q: float, r: float, l: int) -> float:
+    """1 + x_2 + ... + x_l with x_(j+1) = x_j q_j and q_(j+1) = q_j r, q_1 = q.
+
+    Stops at the first term that leaves the sum unchanged.  For q, r in
+    [0, 1] float terms never grow, so that is the full sum bit for bit.
+    """
+    total = term = 1.0
+    for _ in range(l - 1):
+        term = term * q
+        s = total + term
+        if s == total:
+            break
+        total = s
+        q = q * r
+    return total
+
+
 def theta_truncated(t: float, gamma: float, l: int) -> float:
     """Truncated partial theta sum  sum_{j=1..l} t^(gamma * j(j-1)/2).
 
@@ -85,17 +111,9 @@ def theta_truncated(t: float, gamma: float, l: int) -> float:
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
-    if not gamma > 0:  # also rejects nan
-        raise ValueError("gamma must be positive")
-    t = check_unit_interval(t, hi_open=False)
-    r = t ** gamma
-    total = term = 1.0
-    q = r
-    for _ in range(l - 1):
-        term = term * q
-        total = total + term
-        q = q * r
-    return total
+    check_positive(gamma, "gamma")
+    r = check_unit_interval(t, hi_open=False) ** gamma
+    return _stopped_sum(r, r, l)
 
 
 def theta_full(t: float, gamma: float = 1.0, tail_tol: float = 1e-15) -> float:
@@ -106,10 +124,8 @@ def theta_full(t: float, gamma: float = 1.0, tail_tol: float = 1e-15) -> float:
     t^(gamma*j), decreasing in j) certifies the remainder below
     ``tail_tol`` relative to the sum.
     """
-    if not gamma > 0:  # also rejects nan
-        raise ValueError("gamma must be positive")
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
+    check_positive(gamma, "gamma")
+    check_positive(tail_tol, "tail_tol")
     t = check_unit_interval(t, hi_open=True)
     r = t ** gamma
     total = term = 1.0
@@ -207,8 +223,7 @@ def functional_equation_residual(x: float) -> float:
     The right-hand side is the modular evaluator behind
     :func:`one_minus_t_theta_max`; the left-hand side is the direct sum.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
+    check_positive(x, "x")
     return abs(theta_full(math.exp(-math.pi * x), 1.0, 1e-16) - _theta_modular(float(x)))
 
 
@@ -219,8 +234,7 @@ def gamma_chi(tol: float = 1e-12) -> GammaChiResult:
     (0, 10) by bisection and polished by Newton steps, which gives a
     checkable stationarity residual rather than a bare maximization.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_positive(tol, "tol")
 
     def g(u: float) -> float:
         return math.exp(u) - 1.0 - 2.0 * u
@@ -267,10 +281,8 @@ def one_minus_t_theta_max(gamma: float, tol: float = 1e-12) -> Tuple[float, floa
     above it (at most 3 theta4 terms), so no point sums the thousands
     of terms the direct series needs as t nears 1.
     """
-    if not gamma > 0:  # also rejects nan
-        raise ValueError("gamma must be positive")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    check_positive(gamma, "gamma")
+    check_positive(tol, "tol")
     if gamma >= 1.0:
         return 0.0, 1.0
     return cell_search_max(

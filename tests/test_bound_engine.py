@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from chromabound import (
     asymptotic_lower_bound,
     best_l,
     chromatic_lower_bound,
+    functional_equation_residual,
     gamma_chi,
     kupavskii_upper_base,
     maximize_over_t,
@@ -208,8 +210,9 @@ class TestSearchProofs:
     """The three facts the pure-Python search of best_l rests on."""
 
     def test_full_sums_mirror_theta_ratio(self):
+        # A gamma above 1 ends _stopped_sum after a few terms; l = 1 adds none.
         for t in (0.0, 0.1, 0.5, 0.97, 1.0):
-            for gamma, l in ((0.3, 6), (1.0 / 51.0, 101)):
+            for gamma, l in itertools.product((0.3, 1.0 / 51.0, 1.5, 3.0), (1, 6, 101)):
                 nums, dens = full_sums(t, gamma, l)
                 assert nums[-1].hex() == theta_truncated(t, gamma, l).hex()
                 assert (nums[-1] / dens[-1]).hex() == theta_ratio(t, gamma, l).hex()
@@ -358,16 +361,34 @@ class TestStructuralInequalities:
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, name",
     [
-        lambda gamma: maximize_over_t(gamma, 3),
-        lambda gamma: best_l(gamma),
-        lambda gamma: theta_truncated(0.5, gamma, 3),
-        lambda gamma: theta_full(0.5, gamma),
+        (lambda gamma: maximize_over_t(gamma, 3), "gamma"),
+        (lambda tol: maximize_over_t(0.3, 3, tol), "tol"),
+        (best_l, "gamma"),
+        (lambda tol: best_l(0.3, tol), "tol"),
+        (lambda tol: chromatic_lower_bound(BoundQuery(m=2, k=1), tol), "tol"),
+        (lambda tol: table(2, 1, tol), "tol"),
+        (lambda gamma: theta_ratio(0.5, gamma, 3), "gamma"),
+        (lambda gamma: theta_truncated(0.5, gamma, 3), "gamma"),
+        (lambda gamma: theta_full(0.5, gamma), "gamma"),
+        (lambda tail_tol: theta_full(0.5, 1.0, tail_tol), "tail_tol"),
+        (one_minus_t_theta_max, "gamma"),
+        (lambda tol: one_minus_t_theta_max(0.5, tol), "tol"),
+        (gamma_chi, "tol"),
+        (functional_equation_residual, "x"),
     ],
-    ids=["maximize_over_t", "best_l", "theta_truncated", "theta_full"],
+    ids=[
+        "maximize_over_t", "maximize_over_t-tol", "best_l", "best_l-tol",
+        "chromatic_lower_bound-tol", "table-tol", "theta_ratio", "theta_truncated",
+        "theta_full", "theta_full-tail_tol", "one_minus_t_theta_max",
+        "one_minus_t_theta_max-tol", "gamma_chi-tol", "functional_equation_residual-x",
+    ],
 )
-def test_nan_gamma_is_rejected(call):
-    # NaN fails every comparison, so a check `gamma <= 0` let it through.
-    with pytest.raises(ValueError, match="gamma must be positive"):
-        call(math.nan)
+def test_nan_gamma_is_rejected(call, name):
+    # Every positive argument (gamma unless the id names another) goes
+    # through special_functions.check_positive.  NaN fails every
+    # comparison, so a check `x <= 0` let it through.
+    for value in (math.nan, 0.0):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            call(value)

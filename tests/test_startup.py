@@ -57,7 +57,6 @@ def fresh(argv):
     return run_fresh(PROBE, json.dumps(argv))
 
 
-BOUND_LAYERS = ["bound_engine", "brent"]
 LATTICE_LAYERS = ["brent", "lattice_combinatorics", "lattice_theta", "special_functions"]
 SCALAR_LAYERS = ["bound_engine", "brent", "special_functions"]
 
@@ -68,9 +67,10 @@ SCALAR_LAYERS = ["bound_engine", "brent", "special_functions"]
         (["--version"], []),
         (["bound", "--help"], []),
         (["lattice-mu", "--help"], []),
-        # The bound search is pure Python and never reaches special_functions.
-        (["bound", "--m", "1", "--k", "1"], BOUND_LAYERS),
-        (["table", "--m-max", "2", "--k-max", "2"], BOUND_LAYERS),
+        # The bound search takes its argument checks and its series kernel
+        # (_stopped_sum) from special_functions.
+        (["bound", "--m", "1", "--k", "1"], SCALAR_LAYERS),
+        (["table", "--m-max", "2", "--k-max", "2"], SCALAR_LAYERS),
         # The mu search is pure Python; no command runs optimize.
         (["lattice-mu", "--lattice", "zn"], LATTICE_LAYERS),
         (["constants"], SCALAR_LAYERS),
