@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 
@@ -67,16 +69,22 @@ def _sparse_power(g: List[int], a: int, limit: int) -> List[int]:
     return f
 
 
+@lru_cache(maxsize=64)
+def _box_prefix_sums(n: int, l: int) -> Tuple[int, ...]:
+    # Prefix sums of the coefficients of (1 + x + ... + x^l)^n, degrees 0 .. n*l.
+    return tuple(accumulate(_sparse_power([1] * (l + 1), n, n * l)))
+
+
 def count_box(n: int, l: int, d: int) -> int:
     """Number of v in {0, ..., l}^n with coordinate sum at most d.
 
     Computed exactly as the partial coefficient sum of (1 + x + ... + x^l)^n,
-    the power expanded by ``_sparse_power``; big integers throughout, no
-    overflow.
+    the power expanded by ``_sparse_power`` once per box (n, l) and kept
+    as prefix sums; big integers throughout, no overflow.
     """
     if n < 1 or l < 0 or d < 0:
         raise ValueError("need n >= 1, l >= 0, d >= 0")
-    return sum(_sparse_power([1] * (l + 1), n, min(d, n * l)))
+    return _box_prefix_sums(n, l)[min(d, n * l)]
 
 
 def gf_upper_bound(n: int, l: int, d: int, t: float) -> float:

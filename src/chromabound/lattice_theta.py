@@ -22,12 +22,16 @@ spherical sets.  Coefficients are exact integers:
 
 D_n and tau are powers of sparse series, expanded by the package's exact
 power recurrence (``lattice_combinatorics._sparse_power``) in
-O(K * nonzero terms) integer steps.
+O(K * nonzero terms) integer steps.  The kernel is looked up when it is
+called, so E8 and the closed forms never run that layer.
 
 mu is maximized in pure Python by ``brent.cell_search_max``, a best-first
 bisection of [0, 1) with proven cell bounds and Brent refinement, and
-certified afterwards on ``GRID``, 4096 fixed points of (0, 1) whose
-tail bounds are evaluated lazily (``_mu``).  Every evaluator takes and
+certified afterwards on ``GRID``, 4096 fixed points of (0, 1) (``_mu``).
+A series' tail bound is proven nondecreasing over most of the grid, so
+one tail value below tol certifies every grid point before it, and a
+series is certified in three tail evaluations; the closed forms'
+remainders are certified point by point.  Every evaluator takes and
 returns Python floats.
 
 Series objects are immutable after construction and safe to share
@@ -36,13 +40,14 @@ across threads.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Tuple
 
+from . import lattice_combinatorics
 from .brent import cell_search_max, survives
-from .lattice_combinatorics import _sparse_power
 from .special_functions import (
     SQRT3_OVER_2,
     check_positive,
@@ -141,13 +146,24 @@ class ThetaSeries:
 
         Together, with (1 - x)/x = expm1(lam), the tail is at most
 
-            expm1(lam)/lam * e^-y * sum_i binom(d, i) (a sqrt(K+1))^i H(s_i),
+            B(x) = expm1(lam)/lam * e^-y * sum_i binom(d, i) (a sqrt(K+1))^i H(s_i),
 
         a sum of positive terms, finite on [0, 1) and 0 at t = 0.  It is
         evaluated in log space and multiplied by the rounding margin
         ``_TAIL_MARGIN`` = 1 + 2^-30, which exceeds the float error of the
         d + 1 positive terms and of e^-y (y < 3000 wherever the result is a
-        normal float).  A float sum that overflows gives inf, the safe side.
+        normal float), so the returned value is at least B(x).  A float sum
+        that overflows gives inf, the safe side.
+
+        5. B rises with t up to x = K/(K+1).  By steps 3-4,
+           B(x) = (1 - x) int_{K+1}^inf C_z x^(z-1) dz, and for each z the
+           integrand's factor (1 - x) x^(z-1) has derivative
+           x^(z-2) (z - 1 - z x) in x, which is nonnegative while
+           x <= (z-1)/z; every z >= K + 1 has (z-1)/z >= K/(K+1).  So a
+           returned value below tol at t, with t^2 <= K/(K+1), bounds B and
+           with it the tail at every t' <= t below tol.  Past that point,
+           C_z >= 1 and (1 - x)/lam >= x give B(x) >= x^(K+1)
+           >= e^(-(K+1)/K), at least e^(-17/16) > 0.34 for K >= 16.
         """
         t = check_unit_interval(t, hi_open=True)
         if t == 0.0:
@@ -215,7 +231,7 @@ def dn_series(n: int, K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     squares = [1] + [0] * limit
     for c in range(1, math.isqrt(limit) + 1):
         squares[c * c] = 2
-    coeffs = tuple(_sparse_power(squares, n, limit)[0::2])
+    coeffs = tuple(lattice_combinatorics._sparse_power(squares, n, limit)[0::2])
     return ThetaSeries(dim=n, coeffs=coeffs, label=f"D{n}")
 
 
@@ -251,7 +267,7 @@ def ramanujan_tau(K: int) -> List[int]:
     jacobi_cube = [0] * (limit + 1)
     for k in range((math.isqrt(8 * limit + 1) + 1) // 2):  # k(k+1)/2 <= limit
         jacobi_cube[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-    return [0] + _sparse_power(jacobi_cube, 8, limit)
+    return [0] + lattice_combinatorics._sparse_power(jacobi_cube, 8, limit)
 
 
 def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
@@ -323,6 +339,7 @@ def _mu(
     last_bound: Callable[[float], float],
     tol: float,
     remedy: str,
+    rising: int,
 ) -> MuResult:
     """Maximize theta(t)(1-t)^dim where theta's remainder ``tail`` is below ``tol``.
 
@@ -334,9 +351,13 @@ def _mu(
 
     Certification is a check on the result, taken on ``GRID``: the grid
     points before the first one whose tail is not below ``tol`` are
-    certified.  ``tail`` is evaluated lazily, in grid order: on the first
-    3 points, then on to the first certified point past the maximizer, or
-    to the first uncertified point.
+    certified.  The caller proves ``tail`` nondecreasing on the first
+    ``rising`` grid points, so there one value below ``tol`` certifies
+    every point before it, and the first uncertified point is found by
+    bisection; past them each point is certified by its own value.  So a
+    success whose first grid point past the maximizer lies in the rising
+    region takes the tail three times: at the third grid point, at that
+    point, and at the maximizer.
 
     A maximum not above 1, the t -> 0 limit, gives no bound.  It raises
     NoBoundError if theta + tail, an upper bound on the untruncated
@@ -352,16 +373,33 @@ def _mu(
     """
     check_positive(tol, "tol")
     grid = GRID
-    tails: List[float] = []  # tail on grid[0], grid[1], ..., up to the first not below tol
+    certified = 0  # grid[:certified] is certified
+    first_out = len(grid)  # the first uncertified grid point, once found
 
-    def certified(n: int) -> int:
-        """Scan the tail on to the first n grid points; the points certified so far."""
-        while len(tails) < n and (not tails or tails[-1] < tol):
-            tails.append(tail(grid[len(tails)]))
-        return len(tails) - (not tails[-1] < tol)
+    def certify(n: int) -> int:
+        """Certify the first n grid points up to the first uncertified one; the count certified."""
+        nonlocal certified, first_out
+        end = min(n, rising, first_out)
+        if certified < end:
+            if tail(grid[end - 1]) < tol:
+                certified = end
+            else:  # grid[end - 1] is uncertified: bisect for the first such point
+                hi = end - 1
+                while certified < hi:
+                    mid = (certified + hi) // 2
+                    if tail(grid[mid]) < tol:
+                        certified = mid + 1
+                    else:
+                        hi = mid
+                first_out = certified
+        while certified < min(n, first_out):
+            if tail(grid[certified]) < tol:
+                certified += 1
+            else:
+                first_out = certified
+        return certified
 
-    count = certified(3)
-    if count < 3:
+    if certify(3) < 3:
         raise TailBoundError(
             f"tail bound below {tol} on too small a region; {remedy}"
         )
@@ -382,19 +420,18 @@ def _mu(
             f"{claim}; theta plus tail exceeds 1 at some grid point, so a larger"
             f" value is not ruled out; {remedy}"
         )
-    while count == len(tails) < len(grid) and not t_star < grid[count - 1]:
-        count = certified(count + 1)
-    if not grid[0] < t_star < grid[count - 1]:
-        count = certified(len(grid))  # the message names the first uncertified point
-        past = (
-            f", and the tail bound {tails[count]!r} at the next grid point"
+    past = bisect.bisect_right(grid, t_star)  # the first grid point past t_star
+    if not (grid[0] < t_star and past < len(grid) and certify(past + 1) > past):
+        count = certify(len(grid))  # the message names the first uncertified point
+        at_edge = (
+            f", and the tail bound {tail(grid[count])!r} at the next grid point"
             f" t = {grid[count]!r} is not below {tol}"
             if count < len(grid)
             else ""
         )
         raise TailBoundError(
             f"tail bound at the maximizer is not certified below {tol}: the maximizer"
-            f" sits at or past the edge of the certified region{past}; {remedy}"
+            f" sits at or past the edge of the certified region{at_edge}; {remedy}"
         )
     tail_at_star = tail(t_star)
     if not tail_at_star < tol:
@@ -416,10 +453,19 @@ def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
 
     ``series.tail_bound`` bounds the truncation tail; a TailBoundError
     asks for a larger K.  On [a, 1) the objective is at most
-    (1-a)^d sum_j N_j, the truncated series at t = 1.
+    (1-a)^d sum_j N_j, the truncated series at t = 1.  The tail bound
+    rises on the grid points with t^2 <= K/(K+1) (its docstring's step 5);
+    past them it is above 0.34 for K >= 16, so a tol below that certifies
+    none of them.
     """
     label = series.label or f"dim{series.dim}"
     at_one = float(sum(series.coeffs))
+    K = len(series.coeffs) - 1
+
+    def past_rise(t: float) -> bool:  # t^2 > K/(K+1), compared exactly
+        num, den = t.as_integer_ratio()
+        return (K + 1) * num * num > K * den * den
+
     return _mu(
         label,
         series.dim,
@@ -428,6 +474,7 @@ def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
         lambda a: (1.0 - a) ** series.dim * at_one,
         tol,
         "request larger K",
+        bisect.bisect_left(GRID, True, key=past_rise),
     )
 
 
@@ -446,7 +493,9 @@ def mu_z(tol: float = 1e-10) -> MuResult:
 
     Computed directly from theta3 rather than as an actual limit; known
     to exceed sqrt(3)/2, so it does not improve the double-cap bracket.
-    ``tol`` bounds theta3's summation remainder.
+    ``tol`` bounds theta3's summation remainder.  The remainder drops
+    each time the sum takes one more term, so it is not monotone in t and
+    each grid point is certified by its own value.
     """
     return _mu(
         "Z",
@@ -456,6 +505,7 @@ def mu_z(tol: float = 1e-10) -> MuResult:
         _theta3_cell_bound,
         tol,
         _LARGER_TOL,
+        0,
     )
 
 
@@ -471,7 +521,8 @@ def mu_dn(n: int, tol: float = 1e-10) -> MuResult:
     remainder of (theta3^n + theta4^n)/2.  It is multiplied by the
     rounding margin ``_TAIL_MARGIN``.  On [a, 1) the objective is at most
     the n-th power of ``_theta3_cell_bound(a)``, since |theta4| <= theta3
-    gives theta_{D_n} <= theta3^n.
+    gives theta_{D_n} <= theta3^n.  Like ``mu_z``'s, this remainder is not
+    monotone in t, so each grid point is certified by its own value.
 
     For large n (n = 500, say) theta_{D_n} leaves the float range at
     points the search visits (theta3^n overflows); it then raises
@@ -491,6 +542,7 @@ def mu_dn(n: int, tol: float = 1e-10) -> MuResult:
             lambda a: _theta3_cell_bound(a) ** n,
             tol,
             _LARGER_TOL,
+            0,
         )
     except OverflowError:
         raise TailBoundError(

@@ -115,6 +115,15 @@ class TestCountBox:
                     total = count_box(n, l, d) + count_box(n, l, n * l - d - 1)
                     assert total == (l + 1) ** n
 
+    def test_matches_one_expansion_per_call(self):
+        # The partial sum of a fresh expansion, as count_box took it before
+        # it kept one expansion per box; d runs past n * l.
+        for n in range(1, 11):
+            for l in range(0, 5):
+                for d in range(0, n * l + 3):
+                    fresh = sum(_sparse_power([1] * (l + 1), n, min(d, n * l)))
+                    assert count_box(n, l, d) == fresh, (n, l, d)
+
     def test_big_integer_exactness(self):
         # 40 coordinates, full box: must equal 5^40 exactly
         assert count_box(40, 4, 160) == 5 ** 40

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from chromabound import (
     ramanujan_tau,
 )
 from chromabound import optimize
+from chromabound.brent import cell_search_max
 from chromabound.lattice_combinatorics import is_prime
-from chromabound.lattice_theta import GRID, _TAIL_MARGIN, _exceeds_one
-from chromabound.special_functions import jacobi_theta, jacobi_theta_and_tail
+from chromabound.lattice_theta import GRID, _TAIL_MARGIN, MuResult, _exceeds_one
+from chromabound.special_functions import check_positive, jacobi_theta, jacobi_theta_and_tail
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
@@ -259,9 +261,10 @@ class TestMu:
     )
     def test_counts_series_evaluations(self, monkeypatch, series, error):
         # The search evaluates the series at a few dozen points, not on the
-        # grid; the tail is scanned up to the first grid point past t_star
-        # and taken once more at t_star, or, on the no-bound path, taken at
-        # the first three grid points and then at every grid point.
+        # grid.  The tail rises over the grid up to t^2 = K/(K+1), so it is
+        # taken at the third grid point, at the first grid point past
+        # t_star and at t_star, or, on the no-bound path, at the third grid
+        # point and then at every grid point.
         calls = {"evaluate": 0, "tail_bound": 0}
         for name in calls:
             method = getattr(ThetaSeries, name)
@@ -275,12 +278,13 @@ class TestMu:
         if error is None:
             result = mu_lattice(series)
             assert calls["evaluate"] <= 128
-            assert calls["tail_bound"] == bisect.bisect(GRID, result.t_star) + 2
+            assert bisect.bisect(GRID, result.t_star) > 3
+            assert calls["tail_bound"] == 3
         else:
             with pytest.raises(error):
                 mu_lattice(series)
             assert calls["evaluate"] <= len(GRID) // 4
-            assert calls["tail_bound"] == 3 + len(GRID)
+            assert calls["tail_bound"] == 1 + len(GRID)
 
     @pytest.mark.parametrize(
         "theta, tail, dim",
@@ -383,6 +387,129 @@ class TestSearchAgainstGrid:
     def test_certification_grid_is_the_optimize_grid(self):
         # numpy.linspace computes i * step, so (i + 1) / 4097 would not match.
         assert list(GRID) == np.linspace(0.0, 1.0, 4098)[1:-1].tolist()
+
+
+def rising_points(K):
+    """The grid points with t^2 <= K/(K+1), compared exactly."""
+    return [t for t in GRID if Fraction(t) ** 2 <= Fraction(K, K + 1)]
+
+
+def _mu_by_scan(label, dim, theta, tail, last_bound, tol, remedy):
+    """Oracle: the mu search that certified the grid point by point.
+
+    The tail is scanned lazily in grid order: on the first 3 points,
+    then on to the first certified point past the maximizer, or to the
+    first uncertified point.
+    """
+    check_positive(tol, "tol")
+    grid = GRID
+    tails = []  # tail on grid[0], grid[1], ..., up to the first not below tol
+
+    def certified(n):
+        while len(tails) < n and (not tails or tails[-1] < tol):
+            tails.append(tail(grid[len(tails)]))
+        return len(tails) - (not tails[-1] < tol)
+
+    count = certified(3)
+    if count < 3:
+        raise TailBoundError(f"tail bound below {tol} on too small a region; {remedy}")
+    t_star, max_value = cell_search_max(
+        theta, lambda t: (1.0 - t) ** dim, last_bound, xtol=1e-12
+    )
+    if not max_value > 1.0:
+        claim = (
+            f"theta_{label}(t)(1-t)^{dim} has maximum {max_value!r}, not above its"
+            f" t -> 0 limit 1, where its tail bound is below {tol}"
+        )
+        if not _exceeds_one(theta, tail, dim):
+            raise NoBoundError(
+                f"{claim}, and theta plus tail keeps it at most 1 at every grid"
+                " point of (0, 1), so mu = 1 gives no bound"
+            )
+        raise TailBoundError(
+            f"{claim}; theta plus tail exceeds 1 at some grid point, so a larger"
+            f" value is not ruled out; {remedy}"
+        )
+    while count == len(tails) < len(grid) and not t_star < grid[count - 1]:
+        count = certified(count + 1)
+    if not grid[0] < t_star < grid[count - 1]:
+        count = certified(len(grid))
+        past = (
+            f", and the tail bound {tails[count]!r} at the next grid point"
+            f" t = {grid[count]!r} is not below {tol}"
+            if count < len(grid)
+            else ""
+        )
+        raise TailBoundError(
+            f"tail bound at the maximizer is not certified below {tol}: the maximizer"
+            f" sits at or past the edge of the certified region{past}; {remedy}"
+        )
+    tail_at_star = tail(t_star)
+    if not tail_at_star < tol:
+        raise TailBoundError(f"tail bound {tail_at_star!r} at the maximizer is not below {tol}")
+    return MuResult(label, dim, t_star, max_value ** (-1.0 / dim), max_value, tail_at_star)
+
+
+def _outcome(run):
+    """A MuResult with its floats as float.hex, or the error class and message."""
+    try:
+        r = run()
+    except (TailBoundError, NoBoundError) as exc:
+        return type(exc), str(exc)
+    return r.lattice_label, r.dim, *(x.hex() for x in (r.t_star, r.mu, r.max_value, r.tail_bound))
+
+
+def _truncations(full, ks):
+    return [ThetaSeries(full.dim, full.coeffs[: K + 1], full.label) for K in ks]
+
+
+class TestCertification:
+    """``mu_lattice`` certifies by one tail value on the rising region of
+    ``ThetaSeries.tail_bound`` (its docstring's step 5)."""
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            *_truncations(e8_series(8192), (16, 24, 29, 64, 512, 1536, 2048, 8192)),
+            *_truncations(leech_series(2048), (16, 24, 29, 64, 512, 1536, 2048)),
+            *[s for n in (1, 2, 4, 8, 16, 24, 64) for s in _truncations(dn_series(n, 512), (16, 100, 512))],
+        ],
+        ids=lambda s: f"{s.label}-{len(s.coeffs) - 1}",
+    )
+    def test_float_tail_bound_rises_on_the_grid(self, series):
+        K = len(series.coeffs) - 1
+        points = rising_points(K)
+        assert len(points) > 3
+        values = [series.tail_bound(t) for t in points]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        # Past the rising region the exact bound is above 0.34 (K >= 16).
+        assert all(series.tail_bound(t) > 0.34 for t in GRID[len(points) :])
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            _truncations(e8_series(199), range(16, 200)),
+            _truncations(leech_series(199), range(16, 200)),
+            [s for n in range(1, 65) for s in _truncations(dn_series(n, 100), (16, 40, 100))],
+        ],
+        ids=["E8", "Leech", "Dn"],
+    )
+    def test_same_outcome_as_the_pointwise_scan(self, family, tol):
+        for series in family:
+            at_one = float(sum(series.coeffs))
+            oracle = _outcome(
+                lambda: _mu_by_scan(
+                    series.label,
+                    series.dim,
+                    series.evaluate,
+                    series.tail_bound,
+                    lambda a: (1.0 - a) ** series.dim * at_one,
+                    tol,
+                    "request larger K",
+                )
+            )
+            assert _outcome(lambda: mu_lattice(series, tol)) == oracle, series.label
 
 
 class TestDoubleCapCompare:
