@@ -19,7 +19,6 @@ _EXPORTS = {
     "bound_engine": (
         "BoundQuery",
         "BoundResult",
-        "asymptotic_lower_bound",
         "best_l",
         "chromatic_lower_bound",
         "kupavskii_upper_base",
@@ -45,11 +44,9 @@ _EXPORTS = {
         "TailBoundError",
         "ThetaSeries",
         "dn_series",
-        "dn_theta",
         "double_cap_compare",
         "e8_series",
         "leech_series",
-        "mu_dn",
         "mu_lattice",
         "mu_z",
         "ramanujan_tau",

@@ -63,7 +63,7 @@ from operator import truediv
 from typing import Dict, List, Optional, Tuple
 
 from .brent import bisect_cells, golden_section_max, runs, survives
-from .special_functions import _stopped_sum, check_positive, check_unit_interval, gamma_chi
+from .special_functions import _stopped_sum, check_positive, check_unit_interval
 
 
 @dataclass(frozen=True)
@@ -295,11 +295,6 @@ def chromatic_lower_bound(query: BoundQuery, tol: float = 1e-12) -> BoundResult:
         value=value,
         warning=warning,
     )
-
-
-def asymptotic_lower_bound(query: BoundQuery) -> float:
-    """The closed-form rate GAMMA_CHI * sqrt((m + 1) / k)."""
-    return gamma_chi().value * math.sqrt((query.m + 1) / query.k)
 
 
 def kupavskii_upper_base(m: int) -> float:

@@ -13,8 +13,7 @@ an upper bound for the exponential rate of orthogonality-avoiding
 spherical sets.  Coefficients are exact integers:
 
   * D_n:   vectors of Z^n with even squared norm, the even part of
-           (1 + 2 sum_c q^(c^2))^n;
-           closed form theta_{D_n}(t) = (theta3(t)^n + theta4(t)^n) / 2.
+           (1 + 2 sum_c q^(c^2))^n.
   * E8:    N_j = 240 * sigma_3(j).
   * Leech: N_j = (65520 / 691) * (sigma_11(j) - tau(j)), with tau the
            coefficients of q * prod (1 - q^n)^24; the division by 691 is
@@ -23,16 +22,16 @@ spherical sets.  Coefficients are exact integers:
 D_n and tau are powers of sparse series, expanded by the package's exact
 power recurrence (``lattice_combinatorics._sparse_power``) in
 O(K * nonzero terms) integer steps.  The kernel is looked up when it is
-called, so E8 and the closed forms never run that layer.
+called, so E8 and Z never run that layer.
 
 mu is maximized in pure Python by ``brent.cell_search_max``, a best-first
 bisection of [0, 1) with proven cell bounds and Brent refinement, and
 certified afterwards on ``GRID``, 4096 fixed points of (0, 1) (``_mu``).
 A series' tail bound is proven nondecreasing over most of the grid, so
 one tail value below tol certifies every grid point before it, and a
-series is certified in three tail evaluations; the closed forms'
-remainders are certified point by point.  Every evaluator takes and
-returns Python floats.
+series is certified in three tail evaluations.  Z (``mu_z``) uses the one
+closed form, theta3, whose remainder is certified point by point.  Every
+evaluator takes and returns Python floats.
 
 Series objects are immutable after construction and safe to share
 across threads.
@@ -58,15 +57,13 @@ from .special_functions import (
 
 DEFAULT_SERIES_LENGTH = 512
 
-#: Rounding margin of the float tail bounds (``ThetaSeries.tail_bound``, ``mu_dn``).
+#: Rounding margin of the float tail bound ``ThetaSeries.tail_bound``.
 _TAIL_MARGIN = 1.0 + 2.0 ** -30
 
 
 class TailBoundError(ValueError):
-    """Raised when a truncated series cannot certify its tail; increase K.
-
-    ``mu_dn`` raises it too when theta_{D_n} leaves the float range.
-    """
+    """Raised when a remainder bound cannot certify the maximum: increase
+    K for a series, or tol for ``mu_z``."""
 
 
 class NoBoundError(ValueError):
@@ -205,19 +202,6 @@ class MuResult:
     tail_bound: float
 
 
-def dn_theta(n: int, t: float) -> float:
-    """Theta series of D_n, the even-norm vectors of Z^n.
-
-    Equals (theta3(t)^n + theta4(t)^n) / 2; the odd-norm contributions of
-    theta3^n cancel against theta4^n.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    t3 = jacobi_theta(3, t)
-    t4 = jacobi_theta(4, t)
-    return 0.5 * (t3 ** n + t4 ** n)
-
-
 def dn_series(n: int, K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     """Exact D_n coefficients N_j = #{v in Z^n : |v|^2 = 2j} for j <= K.
 
@@ -293,10 +277,6 @@ def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     return ThetaSeries(dim=24, coeffs=tuple(coeffs), label="Leech")
 
 
-#: Remedy named by the closed forms' TailBoundError: they have no K.
-_LARGER_TOL = "request a larger tol"
-
-
 #: The 4096 equispaced interior points of (0, 1): the certification
 #: points of ``_mu`` and the scan of ``optimize``.  Computed as
 #: numpy.linspace(0, 1, 4098)[1:-1] computes them, i * (1/4097);
@@ -316,9 +296,9 @@ def _exceeds_one(
     ``_BLOCK`` grid points bounds theta on the block.  Float rounding is
     monotone, so a point where that bound in place of theta keeps the sum
     at most 1, by ``brent.survives`` (the search's prune rule), is settled
-    without its own theta.  For a ``ThetaSeries`` the float Horner sum
-    itself is monotone in t (nonnegative coefficients), so the skip never
-    changes the answer.
+    without its own theta.  Only a ``ThetaSeries`` gets here (``mu_z``'s
+    maximum is above 1), and its float Horner sum is itself monotone in t
+    (nonnegative coefficients), so the skip never changes the answer.
     """
     for start in range(0, len(GRID), _BLOCK):
         block = GRID[start : start + _BLOCK]
@@ -363,13 +343,13 @@ def _mu(
     NoBoundError if theta + tail, an upper bound on the untruncated
     theta, keeps the objective at most 1 on the whole grid
     (``_exceeds_one``, which takes the tail at every grid point; D_n for
-    n <= 5 from the closed form, or from a long enough series); otherwise
-    a larger value past the certified region is not ruled out and it
-    raises TailBoundError.  Fewer than 3 certified points, a maximizer
-    not strictly between the first and the last certified point, or a
-    tail at the maximizer that is not below ``tol`` raise TailBoundError
-    as well.  Each TailBoundError but the last ends with ``remedy``, the
-    caller's way to certify more of the grid.
+    n <= 5 from a long enough series); otherwise a larger value past the
+    certified region is not ruled out and it raises TailBoundError.
+    Fewer than 3 certified points, a maximizer not strictly between the
+    first and the last certified point, or a tail at the maximizer that
+    is not below ``tol`` raise TailBoundError as well.  Each
+    TailBoundError but the last ends with ``remedy``, the caller's way to
+    certify more of the grid.
     """
     check_positive(tol, "tol")
     grid = GRID
@@ -384,14 +364,9 @@ def _mu(
             if tail(grid[end - 1]) < tol:
                 certified = end
             else:  # grid[end - 1] is uncertified: bisect for the first such point
-                hi = end - 1
-                while certified < hi:
-                    mid = (certified + hi) // 2
-                    if tail(grid[mid]) < tol:
-                        certified = mid + 1
-                    else:
-                        hi = mid
-                first_out = certified
+                certified = first_out = bisect.bisect_left(
+                    grid, True, certified, end - 1, key=lambda t: not tail(t) < tol
+                )
         while certified < min(n, first_out):
             if tail(grid[certified]) < tol:
                 certified += 1
@@ -504,51 +479,9 @@ def mu_z(tol: float = 1e-10) -> MuResult:
         lambda t: jacobi_theta_and_tail(3, t)[1],
         _theta3_cell_bound,
         tol,
-        _LARGER_TOL,
+        "request a larger tol",
         0,
     )
-
-
-def mu_dn(n: int, tol: float = 1e-10) -> MuResult:
-    """Double-cap quantity of D_n from the closed form, as a convergence
-    diagnostic toward mu_Z.  ``tol`` bounds the remainder of theta_{D_n}.
-
-    With theta3 = t3 + r and 0 <= r <= tail3 (theta3's terms are
-    positive), the mean value theorem bounds the change in theta3^n by
-    n tail3 (t3 + tail3)^(n-1).  |theta4| <= theta3, and theta4's loop
-    stops no earlier than theta3's, so its remainder is no larger and the
-    same bound covers the change in theta4^n; half their sum bounds the
-    remainder of (theta3^n + theta4^n)/2.  It is multiplied by the
-    rounding margin ``_TAIL_MARGIN``.  On [a, 1) the objective is at most
-    the n-th power of ``_theta3_cell_bound(a)``, since |theta4| <= theta3
-    gives theta_{D_n} <= theta3^n.  Like ``mu_z``'s, this remainder is not
-    monotone in t, so each grid point is certified by its own value.
-
-    For large n (n = 500, say) theta_{D_n} leaves the float range at
-    points the search visits (theta3^n overflows); it then raises
-    TailBoundError saying so.  A larger tol does not help.
-    """
-
-    def tail(t: float) -> float:
-        t3, tail3 = jacobi_theta_and_tail(3, t)
-        return n * tail3 * (t3 + tail3) ** (n - 1) * _TAIL_MARGIN
-
-    try:
-        return _mu(
-            f"D{n}",
-            n,
-            lambda t: dn_theta(n, t),
-            tail,
-            lambda a: _theta3_cell_bound(a) ** n,
-            tol,
-            _LARGER_TOL,
-            0,
-        )
-    except OverflowError:
-        raise TailBoundError(
-            f"theta_D{n} leaves the float range on (0, 1), so the closed form"
-            f" cannot be maximized at n = {n}; a larger tol does not help"
-        ) from None
 
 
 def double_cap_compare(mu: float) -> str:

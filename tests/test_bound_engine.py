@@ -8,7 +8,6 @@ from chromabound import bound_engine, brent
 from chromabound.lattice_theta import GRID
 from chromabound import (
     BoundQuery,
-    asymptotic_lower_bound,
     best_l,
     chromatic_lower_bound,
     functional_equation_residual,
@@ -298,22 +297,11 @@ class TestChromaticLowerBound:
 
 
 class TestAsymptoticLowerBound:
-    def test_m1_k1(self):
-        expected = gamma_chi().value * math.sqrt(2.0)
-        assert expected == pytest.approx(1.13113, abs=1e-5)
-        assert asymptotic_lower_bound(BoundQuery(1, 1)) == pytest.approx(expected)
-
-    def test_limit_toward_diagonal(self):
-        gc = gamma_chi().value
-        for k in (1, 5, 40):
-            value = asymptotic_lower_bound(BoundQuery(k, k))
-            assert value == pytest.approx(gc * math.sqrt((k + 1) / k), rel=1e-12)
-        assert asymptotic_lower_bound(BoundQuery(40, 40)) == pytest.approx(gc, abs=0.011)
-
     def test_dominated_by_exact_maximization(self):
+        # The closed-form rate GAMMA_CHI * sqrt((m + 1) / k) at m = k = 1.
         exact = chromatic_lower_bound(BoundQuery(1, 1)).value
         assert exact == pytest.approx(1.239566, abs=1e-6)
-        assert exact >= asymptotic_lower_bound(BoundQuery(1, 1))
+        assert exact >= gamma_chi().value * math.sqrt(2.0)
 
 
 class TestKupavskiiBase:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chromabound import (
-    dn_theta,
     e8_series,
     functional_equation_residual,
     gamma_chi,
@@ -333,7 +332,6 @@ _EVALUATORS = [
     pytest.param(lambda t: theta_ratio(t, 0.5, 4), id="theta_ratio"),
     pytest.param(lambda t: jacobi_theta(3, t), id="jacobi_theta"),
     pytest.param(lambda t: jacobi_theta_and_tail(2, t), id="jacobi_theta_and_tail"),
-    pytest.param(lambda t: dn_theta(4, t), id="dn_theta"),
     pytest.param(lambda t: _E8.evaluate(t), id="ThetaSeries.evaluate"),
     pytest.param(lambda t: _E8.tail_bound(t), id="ThetaSeries.tail_bound"),
 ]
