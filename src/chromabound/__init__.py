@@ -47,6 +47,7 @@ _EXPORTS = {
         "double_cap_compare",
         "e8_series",
         "leech_series",
+        "mu_capped",
         "mu_lattice",
         "mu_z",
         "ramanujan_tau",

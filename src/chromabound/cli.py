@@ -40,10 +40,13 @@ _MIN_SERIES_K = 16
 
 # Input caps.  At the caps, one CLI run each on a shared 2-vCPU machine
 # took 0.11 s for bound --m 500 and 0.8 s for table at 50 x 50 (median
-# of 5), and 0.4 s and 0.5 s for lattice-mu with leech and dn:64 at
-# K = 8192 (median of 3); larger inputs are usage errors rather than
-# runs of hours.  --k shares the cap of --m: for m <= MAX_M, every
-# k > MAX_M has gamma = k / (m + 1) >= 1 and the flagged trivial result.
+# of 5), and 0.09 s for lattice-mu with leech and dn:64 at K = 8192
+# (median of 7), which certify on prefixes of 64 and 128; a run that
+# certifies on no shorter prefix builds all 8192 coefficients, which took
+# 0.25 s and 0.35 s for the same two.  Larger inputs are usage errors
+# rather than runs of hours.  --k shares the cap of --m: for m <= MAX_M,
+# every k > MAX_M has gamma = k / (m + 1) >= 1 and the flagged trivial
+# result.
 MAX_M = 500
 MAX_TABLE_M = 50
 MAX_TABLE_K = 50
@@ -226,9 +229,9 @@ def _mu_for_label(label: str, K: int, tol: float) -> lattice_theta.MuResult:
     if label == "zn":
         return lattice_theta.mu_z(tol)
     if label == "e8":
-        return lattice_theta.mu_lattice(lattice_theta.e8_series(K), tol)
+        return lattice_theta.mu_capped(lattice_theta.e8_series, K, tol)
     if label == "leech":
-        return lattice_theta.mu_lattice(lattice_theta.leech_series(K), tol)
+        return lattice_theta.mu_capped(lattice_theta.leech_series, K, tol)
     if label.startswith("dn:"):
         digits = label[len("dn:"):]
         try:
@@ -241,7 +244,7 @@ def _mu_for_label(label: str, K: int, tol: float) -> lattice_theta.MuResult:
             raise click.UsageError(f"bad lattice label {label!r}")
         if not 1 <= n <= MAX_DN:
             raise click.UsageError(f"dn:<n> needs 1 <= n <= {MAX_DN}")
-        return lattice_theta.mu_lattice(lattice_theta.dn_series(n, K), tol)
+        return lattice_theta.mu_capped(lambda P: lattice_theta.dn_series(n, P), K, tol)
     raise click.UsageError(
         f"unknown lattice {label!r}; use zn, dn:<n>, e8 or leech"
     )
@@ -256,7 +259,7 @@ def _mu_for_label(label: str, K: int, tol: float) -> lattice_theta.MuResult:
     # Called only when the option is processed, so that importing this
     # module and --help leave lattice_theta unloaded.
     default=lambda: lattice_theta.DEFAULT_SERIES_LENGTH,
-    help="Series truncation index.",
+    help="Cap on the series length: prefixes of 64, 128, ... coefficients are tried up to it.",
 )
 @_result_options
 def lattice_mu(label: str, series_k: int, tol: float, fmt: str, output: Optional[str]) -> None:

@@ -33,6 +33,10 @@ series is certified in three tail evaluations.  Z (``mu_z``) uses the one
 closed form, theta3, whose remainder is certified point by point.  Every
 evaluator takes and returns Python floats.
 
+A requested series length K is a cap (``mu_capped``): the series is built
+to 64 coefficients, and doubled up to K only while its tail does not
+certify, since a few dozen coefficients already settle most lattices.
+
 Series objects are immutable after construction and safe to share
 across threads.
 """
@@ -451,6 +455,40 @@ def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
         "request larger K",
         bisect.bisect_left(GRID, True, key=past_rise),
     )
+
+
+#: First prefix length of ``mu_capped``.  At tol 1e-9 a prefix certifies
+#: E8 from 16 coefficients, Leech from 29, D24 from 32 and D64 from 82,
+#: so one build of 64 settles E8, Leech and D_n up to n = 50, and the
+#: rest of D_n take two.
+_FIRST_PREFIX = 64
+
+
+def mu_capped(build: Callable[[int], ThetaSeries], K: int, tol: float = 1e-9) -> MuResult:
+    """``mu_lattice`` on the shortest doubling prefix that settles it, at most K long.
+
+    ``build(P)`` is the series truncated at P.  P starts at min(64, K) and
+    after each TailBoundError doubles, capped at K; at P = K the error
+    propagates unchanged, so it is that of ``mu_lattice(build(K), tol)``.
+    A success at P is the same claim as at K: ``tail_bound`` bounds every
+    omitted term of theta_L, those from P + 1 to K included, and it is
+    below tol up to the first grid point past the maximizer.
+
+    A NoBoundError at any P is final.  It states that
+    (theta_P(t) + tail_P(t))(1-t)^d <= 1 at every grid point, and
+    theta_P + tail_P >= theta_L there for every P, since theta_P sums the
+    first P + 1 terms exactly and tail_P bounds the rest.  So the
+    untruncated objective is at most 1 on the grid, which no longer prefix
+    can overturn.
+    """
+    P = min(_FIRST_PREFIX, K)
+    while True:
+        try:
+            return mu_lattice(build(P), tol)
+        except TailBoundError:
+            if P >= K:
+                raise
+            P = min(2 * P, K)
 
 
 def _theta3_cell_bound(a: float) -> float:

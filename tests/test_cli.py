@@ -263,7 +263,12 @@ class TestInputCaps:
         monkeypatch.setattr(
             bound_engine, "table", lambda m_max, k_max, tol: calls.append((m_max, k_max)) or one_cell
         )
-        monkeypatch.setattr(lattice_theta, "e8_series", lambda K: calls.append(K) or e8_series(128))
+        # E8 stands in as a series too short to certify below the cap, so
+        # that lattice-mu doubles its prefix all the way up to the cap.
+        monkeypatch.setattr(
+            lattice_theta, "e8_series",
+            lambda K: calls.append(K) or e8_series(128 if K == MAX_SERIES_K else 2),
+        )
         monkeypatch.setattr(
             lattice_theta, "dn_series", lambda n, K: calls.append((n, K)) or dn_series(8, 64)
         )
@@ -272,22 +277,29 @@ class TestInputCaps:
     @pytest.mark.parametrize(
         "args, cap, reaches_engine",
         [
-            (["bound", "--m", "{}", "--k", "1"], MAX_M, lambda c: BoundQuery(c, 1)),
-            (["bound", "--m", "1", "--k", "{}"], MAX_M, lambda c: BoundQuery(1, c)),
-            (["table", "--m-max", "{}", "--k-max", "1"], MAX_TABLE_M, lambda c: (c, 1)),
-            (["table", "--m-max", "1", "--k-max", "{}"], MAX_TABLE_K, lambda c: (1, c)),
-            (["lattice-mu", "--lattice", "e8", "--K", "{}"], MAX_SERIES_K, lambda c: c),
-            (["lattice-mu", "--lattice", "dn:{}", "--K", "64"], MAX_DN, lambda c: (c, 64)),
+            (["bound", "--m", "{}", "--k", "1"], MAX_M, lambda c: [BoundQuery(c, 1)]),
+            (["bound", "--m", "1", "--k", "{}"], MAX_M, lambda c: [BoundQuery(1, c)]),
+            (["table", "--m-max", "{}", "--k-max", "1"], MAX_TABLE_M, lambda c: [(c, 1)]),
+            (["table", "--m-max", "1", "--k-max", "{}"], MAX_TABLE_K, lambda c: [(1, c)]),
+            # --K caps the prefix lengths, which double from 64.
+            (
+                ["lattice-mu", "--lattice", "e8", "--K", "{}", "--format", "json"],
+                MAX_SERIES_K,
+                lambda c: [64, 128, 256, 512, 1024, 2048, 4096, c],
+            ),
+            (["lattice-mu", "--lattice", "dn:{}", "--K", "64"], MAX_DN, lambda c: [(c, 64)]),
         ],
         ids=["bound-m", "bound-k", "table-m-max", "table-k-max", "lattice-K", "lattice-dn"],
     )
     def test_cap(self, runner, engine_calls, args, cap, reaches_engine):
         at_cap = runner.invoke(cli, [a.format(cap) for a in args])
         assert at_cap.exit_code == 0, at_cap.output
-        assert engine_calls == [reaches_engine(cap)]
+        assert engine_calls == reaches_engine(cap)
+        if "json" in args:  # lattice-mu echoes the requested K, not the prefix that certified
+            assert json.loads(at_cap.output)["K"] == cap
         over = runner.invoke(cli, [a.format(cap + 1) for a in args])
         assert over.exit_code == 2
-        assert len(engine_calls) == 1
+        assert engine_calls == reaches_engine(cap)
         assert str(cap) in runner.invoke(cli, [args[0], "--help"]).output
 
 
@@ -298,9 +310,19 @@ class TestVerify:
         assert "ok   theta.functional_equation_residual" in result.stdout
 
     def test_theta_checks_name_worst_point(self):
+        # Every side is 1 at q = 0, a margin of 0 there that is never reported.
         details = {c.name: c.detail for c in verify.SUITES["theta"]()}
         for name in ("theta3_dominates_theta4", "theta4_alternating_bracket"):
-            assert " at q = " in details[name]
+            assert float(details[name].rpartition(" at q = ")[2]) > 0.0
+
+    def test_theta_checks_still_check_q_zero(self, monkeypatch):
+        real = special_functions.jacobi_theta
+        monkeypatch.setattr(
+            special_functions, "jacobi_theta", lambda n, q: real(n, q) + (n == 4 and q == 0.0)
+        )
+        for check in (verify.theta3_dominates_theta4, verify.theta4_alternating_bracket):
+            result = verify.run_check("theta", check)
+            assert not result.passed, result.detail
 
     def test_floor_checks_report_worst_gamma_and_margin(self):
         checks = {f"{c.suite}.{c.name}": c for c in verify.SUITES["theta"]() + verify.SUITES["bounds"]()}

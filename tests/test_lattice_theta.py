@@ -1,7 +1,9 @@
 import bisect
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from chromabound import (
     double_cap_compare,
     e8_series,
     leech_series,
+    mu_capped,
     mu_lattice,
     mu_z,
     ramanujan_tau,
@@ -21,7 +24,7 @@ from chromabound import (
 from chromabound import optimize
 from chromabound.brent import cell_search_max
 from chromabound.lattice_combinatorics import is_prime
-from chromabound.lattice_theta import GRID, MuResult, _exceeds_one
+from chromabound.lattice_theta import DEFAULT_SERIES_LENGTH, GRID, MuResult, _exceeds_one
 from chromabound.special_functions import check_positive, jacobi_theta, jacobi_theta_and_tail
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
@@ -339,6 +342,101 @@ class TestMu:
                 mu_lattice(e8_series(12), tol)
 
 
+def _builder(label):
+    """The series builder of a CLI lattice label: e8, leech or dn:<n>."""
+    if label.startswith("dn:"):
+        n = int(label[len("dn:"):])
+        return lambda K: dn_series(n, K)
+    return {"e8": e8_series, "leech": leech_series}[label]
+
+
+def _golden_series_cases():
+    """(label, K) of every golden lattice-mu case that builds a series."""
+    spec = importlib.util.spec_from_file_location(
+        "golden_generate", Path(__file__).parent / "golden" / "generate.py"
+    )
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    for _, args in golden.CASES["lattice_mu"]:
+        options = dict(zip(args[1::2], args[2::2]))
+        if options["--lattice"] != "zn":
+            yield options["--lattice"], int(options.get("--K", DEFAULT_SERIES_LENGTH))
+
+
+_PREFIX_CASES = list(
+    dict.fromkeys(
+        [
+            *_golden_series_cases(),
+            # The draws of the benchmark's lattice workload, ends included.
+            *(("leech", K) for K in (1536, 1537, 1800, 2047, 2048)),
+            *(("e8", K) for K in (1024, 1333, 2048)),
+            *((f"dn:{n}", DEFAULT_SERIES_LENGTH) for n in range(8, 25)),
+        ]
+    )
+)
+
+
+def _settle(run):
+    """The MuResult of ``run``, or its error class and message."""
+    try:
+        return run()
+    except (TailBoundError, NoBoundError) as exc:
+        return type(exc), str(exc)
+
+
+def _prefix_lengths(label, K, tol=1e-9):
+    """The prefix lengths ``mu_capped`` builds for a CLI label, in order."""
+    lengths = []
+    build = _builder(label)
+    _settle(lambda: mu_capped(lambda P: lengths.append(P) or build(P), K, tol))
+    return lengths
+
+
+class TestPrefix:
+    """``mu_capped`` settles a lattice on a doubling prefix of at most K
+    coefficients, with the outcome of the full series."""
+
+    @pytest.mark.parametrize("label, K", _PREFIX_CASES, ids=[f"{l}-{K}" for l, K in _PREFIX_CASES])
+    def test_same_outcome_as_the_full_series(self, label, K):
+        build = _builder(label)
+        prefix = _settle(lambda: mu_capped(build, K))
+        full = _settle(lambda: mu_lattice(build(K)))
+        if isinstance(full, tuple):
+            assert prefix == full
+            return
+        assert isinstance(prefix, MuResult)
+        for name in ("lattice_label", "dim"):
+            assert getattr(prefix, name) == getattr(full, name)
+        for name in ("t_star", "mu", "max_value"):
+            assert getattr(prefix, name).hex() == getattr(full, name).hex(), name
+        assert 0.0 <= prefix.tail_bound < 1e-9
+
+    @pytest.mark.parametrize(
+        "label, K, lengths",
+        [
+            ("leech", 2048, [64]),
+            ("dn:64", 8192, [64, 128]),  # D64 certifies from 82
+            ("dn:5", 8192, [64]),  # no bound, proven on the first prefix
+            ("e8", 16, [16]),
+            ("dn:21", 28, [28]),
+            ("leech", 24, [24]),  # fails at K, as before
+            ("leech", 63, [63]),
+        ],
+    )
+    def test_schedule(self, label, K, lengths):
+        assert _prefix_lengths(label, K) == lengths
+
+    def test_lengths_double_up_to_the_cap_and_stop(self):
+        # A stand-in that certifies at no length: the error raised is that
+        # of the series built at the cap.
+        lengths = []
+        short = e8_series(2)
+        error = _settle(lambda: mu_capped(lambda P: lengths.append(P) or short, 1000))
+        assert lengths == [64, 128, 256, 512, 1000]
+        assert error == _settle(lambda: mu_lattice(short))
+        assert error[0] is TailBoundError
+
+
 def _series_case(series):
     return (
         lambda: mu_lattice(series),
@@ -436,10 +534,9 @@ def _mu_by_scan(label, dim, theta, tail, last_bound, tol, remedy):
 
 def _outcome(run):
     """A MuResult with its floats as float.hex, or the error class and message."""
-    try:
-        r = run()
-    except (TailBoundError, NoBoundError) as exc:
-        return type(exc), str(exc)
+    r = _settle(run)
+    if isinstance(r, tuple):
+        return r
     return r.lattice_label, r.dim, *(x.hex() for x in (r.t_star, r.mu, r.max_value, r.tail_bound))
 
 
