@@ -40,13 +40,13 @@ _MIN_SERIES_K = 16
 
 # Input caps.  At the caps, one CLI run each on a shared 2-vCPU machine
 # took 0.11 s for bound --m 500 and 0.8 s for table at 50 x 50 (median
-# of 5), and 0.09 s for lattice-mu with leech and dn:64 at K = 8192
-# (median of 7), which certify on prefixes of 64 and 128; a run that
-# certifies on no shorter prefix builds all 8192 coefficients, which took
-# 0.25 s and 0.35 s for the same two.  Larger inputs are usage errors
-# rather than runs of hours.  --k shares the cap of --m: for m <= MAX_M,
-# every k > MAX_M has gamma = k / (m + 1) >= 1 and the flagged trivial
-# result.
+# of 5), and 0.08 s and 0.11 s for lattice-mu with leech and dn:64 at
+# K = 8192 (median of 7), which settle on prefixes of 64 and 512; a run
+# that settles on no shorter prefix builds and searches all 8192
+# coefficients, which took 0.3 s and 0.5 s in-process.  Larger inputs are
+# usage errors rather than runs of hours.  --k shares the cap of --m: for
+# m <= MAX_M, every k > MAX_M has gamma = k / (m + 1) >= 1 and the
+# flagged trivial result.
 MAX_M = 500
 MAX_TABLE_M = 50
 MAX_TABLE_K = 50

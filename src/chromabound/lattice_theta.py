@@ -26,16 +26,16 @@ called, so E8 and Z never run that layer.
 
 mu is maximized in pure Python by ``brent.cell_search_max``, a best-first
 bisection of [0, 1) with proven cell bounds and Brent refinement, and
-certified afterwards on ``GRID``, 4096 fixed points of (0, 1) (``_mu``).
-A series' tail bound is proven nondecreasing over most of the grid, so
-one tail value below tol certifies every grid point before it, and a
-series is certified in three tail evaluations.  Z (``mu_z``) uses the one
-closed form, theta3, whose remainder is certified point by point.  Every
-evaluator takes and returns Python floats.
+proven by a second best-first bisection (``_mu``): its cell bounds, from
+the truncated series, its derivative and its tail bound, hold for the
+full theta series, so the maximum of the full objective is proven within
+tol of the one found, or at most 1 + tol on all of (0, 1) where the
+lattice gives no bound.  Z (``mu_z``) uses the one closed form, theta3.
+Every evaluator takes and returns Python floats.
 
 A requested series length K is a cap (``mu_capped``): the series is built
-to 64 coefficients, and doubled up to K only while its tail does not
-certify, since a few dozen coefficients already settle most lattices.
+to 64 coefficients, and doubled up to K only while it does not settle
+the proof, since a few dozen coefficients already settle most lattices.
 
 Series objects are immutable after construction and safe to share
 across threads.
@@ -43,14 +43,14 @@ across threads.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Tuple
 
 from . import lattice_combinatorics
-from .brent import cell_search_max, survives
+from .brent import cell_search_max
 from .special_functions import (
     SQRT3_OVER_2,
     check_positive,
@@ -66,14 +66,15 @@ _TAIL_MARGIN = 1.0 + 2.0 ** -30
 
 
 class TailBoundError(ValueError):
-    """Raised when a remainder bound cannot certify the maximum: increase
-    K for a series, or tol for ``mu_z``."""
+    """Raised when the remainder bound cannot prove the maximum within tol:
+    increase K for a series, or tol for ``mu_z``."""
 
 
 class NoBoundError(ValueError):
-    """Raised when theta(t)(1-t)^d, bounded from above with its tail,
-    exceeds its t -> 0 limit 1 at no grid point, so mu = 1 and the
-    lattice gives no bound; a larger K or tol does not help."""
+    """Raised when theta(t)(1-t)^d, bounded from above with its tail, is
+    proven at most 1 + tol on all of (0, 1), against its t -> 0 limit 1,
+    so mu = 1 and the lattice gives no bound; a larger K or tol does not
+    help."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,15 @@ class ThetaSeries:
         b = 2.0 * math.sqrt(kp1 / j0)  # a sqrt(K+1)
         return tuple(math.comb(self.dim, i) * b ** i for i in range(self.dim + 1))
 
+    @cached_property
+    def _last_weights(self) -> Tuple[float, ...]:
+        """binom(d, i) (a^2/2)^(i/2) Gamma(i/2 + 1), the weights of ``_last_cell_bound``."""
+        two_kp1 = 2.0 * len(self.coeffs)
+        return tuple(
+            w * math.gamma(0.5 * i + 1.0) / two_kp1 ** (0.5 * i)
+            for i, w in enumerate(self._tail_weights)
+        )
+
     def evaluate(self, t: float) -> float:
         """Truncated series value  sum_j N_j t^(2j)  for t in [0, 1)."""
         t = check_unit_interval(t, hi_open=True)
@@ -117,6 +127,15 @@ class ThetaSeries:
         for c in self._float_coeffs_high_first:
             acc = acc * u + c
         return acc
+
+    def _value_and_slope(self, t: float) -> Tuple[float, float]:
+        """The truncated series, bit for bit ``evaluate(t)``, and its derivative in t."""
+        u = t ** 2
+        acc = slope = 0.0
+        for c in self._float_coeffs_high_first:
+            slope = slope * u + acc
+            acc = acc * u + c
+        return acc, 2.0 * t * slope
 
     def tail_bound(self, t: float) -> float:
         """Proven upper bound on the omitted tail  sum_{j > K} N_j x^j,  x = t^2.
@@ -155,16 +174,6 @@ class ThetaSeries:
         d + 1 positive terms and of e^-y (y < 3000 wherever the result is a
         normal float), so the returned value is at least B(x).  A float sum
         that overflows gives inf, the safe side.
-
-        5. B rises with t up to x = K/(K+1).  By steps 3-4,
-           B(x) = (1 - x) int_{K+1}^inf C_z x^(z-1) dz, and for each z the
-           integrand's factor (1 - x) x^(z-1) has derivative
-           x^(z-2) (z - 1 - z x) in x, which is nonnegative while
-           x <= (z-1)/z; every z >= K + 1 has (z-1)/z >= K/(K+1).  So a
-           returned value below tol at t, with t^2 <= K/(K+1), bounds B and
-           with it the tail at every t' <= t below tol.  Past that point,
-           C_z >= 1 and (1 - x)/lam >= x give B(x) >= x^(K+1)
-           >= e^(-(K+1)/K), at least e^(-17/16) > 0.34 for K >= 16.
         """
         t = check_unit_interval(t, hi_open=True)
         if t == 0.0:
@@ -189,13 +198,30 @@ class ThetaSeries:
         except OverflowError:
             return math.inf
 
+    def _last_cell_bound(self, a: float) -> float:
+        """Bound on theta_L(t)(1-t)^d over [a, 1), 0 < a < 1, under ``tail_bound``'s hypothesis.
+
+        By its steps 1-3 from j = 0, theta_L(t) = (1 - x) sum_{j >= 0} S_j x^j
+        <= (1 - x)/x int_0^inf C_z x^z dz, and the binomial expansion of C_z
+        gives sum_i binom(d, i) a^i Gamma(i/2 + 1) lam^-(i/2 + 1).  With
+        (1 - x)/x <= 2(1 - t)/t^2 and lam >= 2(1 - t),
+
+            theta_L(t)(1-t)^d <= t^-2 sum_i binom(d, i) (a^2/2)^(i/2) Gamma(i/2 + 1) (1-t)^(d - i/2),
+
+        and every term falls in t, so its value at a bounds the cell.
+        """
+        e = 1.0 - a
+        return sum(w * e ** (self.dim - 0.5 * i) for i, w in enumerate(self._last_weights)) / (a * a)
+
 
 @dataclass(frozen=True)
 class MuResult:
     """Double-cap quantity mu = (max theta(t)(1-t)^d)^(-1/d) with maximizer.
 
-    ``tail_bound`` certifies the series truncation error of theta at the
-    reported maximizer.
+    ``max_value`` is the truncated series' maximum, at ``t_star``, and
+    ``max_upper`` a proven upper bound on the maximum of the full
+    objective, within relative ``tol`` of it.  ``tail_bound`` bounds the
+    series truncation error of theta at ``t_star``.
     """
 
     lattice_label: str
@@ -204,6 +230,7 @@ class MuResult:
     mu: float
     max_value: float
     tail_bound: float
+    max_upper: float
 
 
 def dn_series(n: int, K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
@@ -281,38 +308,8 @@ def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     return ThetaSeries(dim=24, coeffs=tuple(coeffs), label="Leech")
 
 
-#: The 4096 equispaced interior points of (0, 1): the certification
-#: points of ``_mu`` and the scan of ``optimize``.  Computed as
-#: numpy.linspace(0, 1, 4098)[1:-1] computes them, i * (1/4097);
-#: (i + 1)/4097 rounds differently at some points.
-GRID = tuple((i + 1) * (1.0 / 4097) for i in range(4096))
-
-#: Grid points that share one theta bound in ``_exceeds_one``.
-_BLOCK = 16
-
-
-def _exceeds_one(
-    theta: Callable[[float], float], tail: Callable[[float], float], dim: int
-) -> bool:
-    """Whether theta(t) w + tail(t) w > 1 in floats, w = (1-t)^dim, at some grid point.
-
-    theta rises in t, so theta at the last point of a block of
-    ``_BLOCK`` grid points bounds theta on the block.  Float rounding is
-    monotone, so a point where that bound in place of theta keeps the sum
-    at most 1, by ``brent.survives`` (the search's prune rule), is settled
-    without its own theta.  Only a ``ThetaSeries`` gets here (``mu_z``'s
-    maximum is above 1), and its float Horner sum is itself monotone in t
-    (nonnegative coefficients), so the skip never changes the answer.
-    """
-    for start in range(0, len(GRID), _BLOCK):
-        block = GRID[start : start + _BLOCK]
-        end = theta(block[-1])
-        for t in block:
-            w = (1.0 - t) ** dim
-            rest = tail(t) * w
-            if survives(end * w + rest, 1.0) and theta(t) * w + rest > 1.0:
-                return True
-    return False
+#: Cells of the upper search of ``_mu`` are not split below this width.
+_MIN_WIDTH = 2.0 ** -40
 
 
 def _mu(
@@ -320,147 +317,130 @@ def _mu(
     dim: int,
     theta: Callable[[float], float],
     tail: Callable[[float], float],
+    split: Callable[[float], Tuple[float, float, float]],
     last_bound: Callable[[float], float],
+    terms: int,
     tol: float,
     remedy: str,
-    rising: int,
 ) -> MuResult:
-    """Maximize theta(t)(1-t)^dim where theta's remainder ``tail`` is below ``tol``.
+    """Maximize theta(t)(1-t)^dim and prove the full objective's maximum to within ``tol``.
 
-    The maximizer comes from ``brent.cell_search_max``, so it does not
-    depend on ``tail``.  Its cell bounds: theta has nonnegative
-    coefficients, so it rises in t, and on [a, b] with b < 1 the
-    objective is at most theta(b)(1-a)^dim; on the last cell [a, 1) it is
-    at most ``last_bound(a)``, which each caller proves for its theta.
+    theta truncates the full series F, and ``tail`` bounds F - theta.
+    ``split(t)`` gives P(t), P'(t) and a bound R(t) on F(t) - P(t), for a
+    P of ``terms`` nonnegative terms with F - P rising in t.
+    ``last_bound(a)`` bounds F(t)(1-t)^dim on [a, 1).
 
-    Certification is a check on the result, taken on ``GRID``: the grid
-    points before the first one whose tail is not below ``tol`` are
-    certified.  The caller proves ``tail`` nondecreasing on the first
-    ``rising`` grid points, so there one value below ``tol`` certifies
-    every point before it, and the first uncertified point is found by
-    bisection; past them each point is certified by its own value.  So a
-    success whose first grid point past the maximizer lies in the rising
-    region takes the tail three times: at the third grid point, at that
-    point, and at the maximizer.
+    ``brent.cell_search_max`` on theta gives the maximizer and
+    ``max_value``, the lower end.  The upper end, ``max_upper``, is the
+    largest bound left by a best-first bisection of [0, 1).  On a cell
+    [a, b], b < 1, with w(t) = (1-t)^dim, f = P w, midpoint c and
+    h = (b - a)/2, the bound is
 
-    A maximum not above 1, the t -> 0 limit, gives no bound.  It raises
-    NoBoundError if theta + tail, an upper bound on the untruncated
-    theta, keeps the objective at most 1 on the whole grid
-    (``_exceeds_one``, which takes the tail at every grid point; D_n for
-    n <= 5 from a long enough series); otherwise a larger value past the
-    certified region is not ruled out and it raises TailBoundError.
-    Fewer than 3 certified points, a maximizer not strictly between the
-    first and the last certified point, or a tail at the maximizer that
-    is not below ``tol`` raise TailBoundError as well.  Each
-    TailBoundError but the last ends with ``remedy``, the caller's way to
-    certify more of the grid.
+        min(P(b) w(a), f(c) + h max(U, -L, 0), f(a) + 2h max(U, 0)) + R(b) w(a):
+
+    P and F - P rise in t, and [L, U] encloses f' on the cell, from P and
+    P' (which rise too) at a and b, which gives the mean value bounds
+    about c and about a.  The last cell [a, 1) takes ``last_bound(a)``.
+
+    Rounding: each product of two point values, and each term of
+    ``last_bound``, is within relative error (3 (terms + dim) + 32) 2^-53
+    of its exact value (sums of nonnegative terms; powers and gamma values
+    within a few ulps), below m - 1 = (4 (terms + dim) + 64) 2^-53.  So
+    the terms that widen [L, U] are multiplied by m, those that narrow it
+    are divided by m, and each bound is multiplied by m^2 for its sums.
+
+    If max_value is above 1, the t -> 0 limit, the search aims at
+    max_value (1 + tol), and success also needs ``tail`` below tol at the
+    maximizer.  Otherwise it aims at 1 + tol, and reaching it raises
+    NoBoundError: the objective is proven at most 1 + tol on (0, 1).
+    Everything else raises TailBoundError, ending with ``remedy``: a tail
+    at the maximizer not below tol; a visited point where (P + R) w
+    exceeds the aim, the value that the bounds of ever smaller cells
+    about it tend to, so they cannot close; or a cell of width
+    ``_MIN_WIDTH`` above the aim, for a tol the margin leaves no room for.
     """
     check_positive(tol, "tol")
-    grid = GRID
-    certified = 0  # grid[:certified] is certified
-    first_out = len(grid)  # the first uncertified grid point, once found
-
-    def certify(n: int) -> int:
-        """Certify the first n grid points up to the first uncertified one; the count certified."""
-        nonlocal certified, first_out
-        end = min(n, rising, first_out)
-        if certified < end:
-            if tail(grid[end - 1]) < tol:
-                certified = end
-            else:  # grid[end - 1] is uncertified: bisect for the first such point
-                certified = first_out = bisect.bisect_left(
-                    grid, True, certified, end - 1, key=lambda t: not tail(t) < tol
-                )
-        while certified < min(n, first_out):
-            if tail(grid[certified]) < tol:
-                certified += 1
-            else:
-                first_out = certified
-        return certified
-
-    if certify(3) < 3:
-        raise TailBoundError(
-            f"tail bound below {tol} on too small a region; {remedy}"
-        )
     t_star, max_value = cell_search_max(
         theta, lambda t: (1.0 - t) ** dim, last_bound, xtol=1e-12
     )
-    if not max_value > 1.0:
-        claim = (
-            f"theta_{label}(t)(1-t)^{dim} has maximum {max_value!r}, not above its"
-            f" t -> 0 limit 1, where its tail bound is below {tol}"
-        )
-        if not _exceeds_one(theta, tail, dim):
-            raise NoBoundError(
-                f"{claim}, and theta plus tail keeps it at most 1 at every grid"
-                " point of (0, 1), so mu = 1 gives no bound"
+    if max_value > 1.0:
+        tail_at_star = tail(t_star)
+        if not tail_at_star < tol:
+            raise TailBoundError(
+                f"tail bound {tail_at_star!r} at the maximizer is not below {tol}; {remedy}"
             )
-        raise TailBoundError(
-            f"{claim}; theta plus tail exceeds 1 at some grid point, so a larger"
-            f" value is not ruled out; {remedy}"
+        aim, goal = max_value * (1.0 + tol), f"the maximum {max_value!r} times 1 + {tol}"
+    else:
+        aim, goal = 1.0 + tol, f"1 + {tol}"
+    m = 1.0 + (4 * (terms + dim) + 64) * 2.0 ** -53
+    points = {}  # t -> P, P', R, w, (1-t)^(dim-1)
+
+    def visit(t: float) -> None:
+        p, slope, rest = split(t)
+        w1 = (1.0 - t) ** (dim - 1)
+        points[t] = p, slope, rest, w1 * (1.0 - t), w1
+        if (p + rest) * points[t][3] * m > aim:
+            raise TailBoundError(
+                f"theta_{label}(t)(1-t)^{dim} with its tail bound exceeds {goal}"
+                f" at t = {t!r}; {remedy}"
+            )
+
+    def bound(a: float, b: float) -> float:
+        if b == 1.0:
+            return last_bound(a) * m
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        visit(c)
+        (pa, sa, _, wa, w1a), (pb, sb, rb, wb, w1b) = points[a], points[b]
+        rise = sb * wa * m - dim * pa * w1b / m
+        fall = dim * pb * w1a * m - sa * wb / m
+        mean = points[c][0] * points[c][3] + h * max(rise, fall, 0.0)
+        return (min(pb * wa, mean, pa * wa + 2.0 * h * max(rise, 0.0)) + rb * wa) * m * m
+
+    visit(0.0)
+    cells = [(-math.inf, 0.0, 1.0)]  # (-bound, a, b)
+    while -cells[0][0] > aim:
+        _, a, b = heapq.heappop(cells)
+        if b - a <= _MIN_WIDTH:
+            raise TailBoundError(
+                f"cells of width {_MIN_WIDTH!r} at t = {a!r} stay above {goal}; {remedy}"
+            )
+        mid = 0.5 * (a + b)
+        if b == 1.0:
+            visit(mid)
+        for lo, hi in ((a, mid), (mid, b)):
+            heapq.heappush(cells, (-bound(lo, hi), lo, hi))
+    if not max_value > 1.0:
+        raise NoBoundError(
+            f"theta_{label}(t)(1-t)^{dim} has maximum {max_value!r}, not above its t -> 0"
+            f" limit 1, and theta plus its tail bound keeps it at most 1 + {tol} on all"
+            " of (0, 1), so mu = 1 gives no bound"
         )
-    past = bisect.bisect_right(grid, t_star)  # the first grid point past t_star
-    if not (grid[0] < t_star and past < len(grid) and certify(past + 1) > past):
-        count = certify(len(grid))  # the message names the first uncertified point
-        at_edge = (
-            f", and the tail bound {tail(grid[count])!r} at the next grid point"
-            f" t = {grid[count]!r} is not below {tol}"
-            if count < len(grid)
-            else ""
-        )
-        raise TailBoundError(
-            f"tail bound at the maximizer is not certified below {tol}: the maximizer"
-            f" sits at or past the edge of the certified region{at_edge}; {remedy}"
-        )
-    tail_at_star = tail(t_star)
-    if not tail_at_star < tol:
-        raise TailBoundError(
-            f"tail bound {tail_at_star!r} at the maximizer is not below {tol}"
-        )
-    return MuResult(
-        lattice_label=label,
-        dim=dim,
-        t_star=t_star,
-        mu=max_value ** (-1.0 / dim),
-        max_value=max_value,
-        tail_bound=tail_at_star,
-    )
+    mu = max_value ** (-1.0 / dim)
+    return MuResult(label, dim, t_star, mu, max_value, tail_at_star, -cells[0][0])
 
 
 def mu_lattice(series: ThetaSeries, tol: float = 1e-9) -> MuResult:
     """Maximize theta(t)(1-t)^d over (0, 1) and report mu = (max)^(-1/d).
 
-    ``series.tail_bound`` bounds the truncation tail; a TailBoundError
-    asks for a larger K.  On [a, 1) the objective is at most
-    (1-a)^d sum_j N_j, the truncated series at t = 1.  The tail bound
-    rises on the grid points with t^2 <= K/(K+1) (its docstring's step 5);
-    past them it is above 0.34 for K >= 16, so a tol below that certifies
-    none of them.
+    The truncated series is the P of ``_mu`` and ``series.tail_bound``
+    its R; a TailBoundError asks for a larger K.
     """
-    label = series.label or f"dim{series.dim}"
-    at_one = float(sum(series.coeffs))
-    K = len(series.coeffs) - 1
-
-    def past_rise(t: float) -> bool:  # t^2 > K/(K+1), compared exactly
-        num, den = t.as_integer_ratio()
-        return (K + 1) * num * num > K * den * den
-
     return _mu(
-        label,
+        series.label or f"dim{series.dim}",
         series.dim,
         series.evaluate,
         series.tail_bound,
-        lambda a: (1.0 - a) ** series.dim * at_one,
+        lambda t: (*series._value_and_slope(t), series.tail_bound(t)),
+        series._last_cell_bound,
+        len(series.coeffs),
         tol,
         "request larger K",
-        bisect.bisect_left(GRID, True, key=past_rise),
     )
 
 
-#: First prefix length of ``mu_capped``.  At tol 1e-9 a prefix certifies
-#: E8 from 16 coefficients, Leech from 29, D24 from 32 and D64 from 82,
-#: so one build of 64 settles E8, Leech and D_n up to n = 50, and the
-#: rest of D_n take two.
+#: First prefix length of ``mu_capped``.  At tol 1e-9 a prefix settles
+#: E8 from 16 coefficients and Leech from 29, and D1..D23 on 64,
+#: D24..D34 on 128, D35..D48 on 256 and D49..D64 on 512.
 _FIRST_PREFIX = 64
 
 
@@ -470,16 +450,13 @@ def mu_capped(build: Callable[[int], ThetaSeries], K: int, tol: float = 1e-9) ->
     ``build(P)`` is the series truncated at P.  P starts at min(64, K) and
     after each TailBoundError doubles, capped at K; at P = K the error
     propagates unchanged, so it is that of ``mu_lattice(build(K), tol)``.
-    A success at P is the same claim as at K: ``tail_bound`` bounds every
-    omitted term of theta_L, those from P + 1 to K included, and it is
-    below tol up to the first grid point past the maximizer.
-
-    A NoBoundError at any P is final.  It states that
-    (theta_P(t) + tail_P(t))(1-t)^d <= 1 at every grid point, and
-    theta_P + tail_P >= theta_L there for every P, since theta_P sums the
-    first P + 1 terms exactly and tail_P bounds the rest.  So the
-    untruncated objective is at most 1 on the grid, which no longer prefix
-    can overturn.
+    A success at P is the same claim as at K: theta_P + tail_P bounds
+    theta_L for every P, since theta_P sums the first P + 1 terms exactly
+    and tail_P bounds the rest, so ``max_upper`` bounds the maximum of
+    the untruncated objective, and ``tail_bound`` is below tol.  A
+    NoBoundError at any P is final for the same reason: it proves the
+    untruncated objective at most 1 + tol on all of (0, 1), which no
+    longer prefix can overturn.
     """
     P = min(_FIRST_PREFIX, K)
     while True:
@@ -489,6 +466,23 @@ def mu_capped(build: Callable[[int], ThetaSeries], K: int, tol: float = 1e-9) ->
             if P >= K:
                 raise
             P = min(2 * P, K)
+
+
+#: Terms n = 1..N of theta3 that the P of ``mu_z`` sums.
+_THETA3_TERMS = 32
+
+
+def _theta3_split(t: float) -> Tuple[float, float, float]:
+    """P(t), P'(t) and a bound on theta3(t) - P(t), for P = 1 + 2 sum_{n <= N} t^(n^2).
+
+    The omitted terms 2 t^(n^2), n > N = ``_THETA3_TERMS``, fall by
+    ratios t^(2n+1) <= t^(2N+3), so they sum to at most
+    2 t^((N+1)^2) / (1 - t^(2N+3)).
+    """
+    n_max = _THETA3_TERMS
+    value = 1.0 + 2.0 * sum(t ** (n * n) for n in range(1, n_max + 1))
+    slope = 2.0 * sum(n * n * t ** (n * n - 1) for n in range(1, n_max + 1))
+    return value, slope, 2.0 * t ** ((n_max + 1) ** 2) / (1.0 - t ** (2 * n_max + 3))
 
 
 def _theta3_cell_bound(a: float) -> float:
@@ -506,19 +500,20 @@ def mu_z(tol: float = 1e-10) -> MuResult:
 
     Computed directly from theta3 rather than as an actual limit; known
     to exceed sqrt(3)/2, so it does not improve the double-cap bracket.
-    ``tol`` bounds theta3's summation remainder.  The remainder drops
-    each time the sum takes one more term, so it is not monotone in t and
-    each grid point is certified by its own value.
+    ``tol`` bounds theta3's summation remainder at the maximizer and the
+    relative width of the proven interval; the P of ``_mu`` is theta3
+    summed to ``_THETA3_TERMS`` terms (``_theta3_split``).
     """
     return _mu(
         "Z",
         1,
         lambda t: jacobi_theta(3, t),
         lambda t: jacobi_theta_and_tail(3, t)[1],
+        _theta3_split,
         _theta3_cell_bound,
+        _THETA3_TERMS + 1,
         tol,
         "request a larger tol",
-        0,
     )
 
 

@@ -1,10 +1,11 @@
 """One-dimensional global maximization on the open unit interval by grid scan.
 
-A scan of ``lattice_theta.GRID`` followed by a bracketed refinement of
-the local grid maxima by Brent's method, ``golden_section_max`` (from
-``brent``, re-exported here; the name is older than the parabolic
-steps).  Unimodality is never assumed: several distinct local grid
-maxima are refined and the best refined point wins.
+A scan of ``GRID``, 4096 fixed points of (0, 1) that this module
+owns, followed by a bracketed refinement of the local grid maxima by
+Brent's method, ``golden_section_max`` (from ``brent``, re-exported
+here; the name is older than the parabolic steps).  Unimodality is
+never assumed: several distinct local grid maxima are refined and the
+best refined point wins.
 
 No command uses this module: ``bound_engine``,
 ``special_functions.one_minus_t_theta_max`` and ``lattice_theta``'s
@@ -19,7 +20,11 @@ from __future__ import annotations
 from typing import Callable, Tuple
 
 from .brent import golden_section_max
-from .lattice_theta import GRID
+
+#: The 4096 equispaced interior points of (0, 1), computed as
+#: numpy.linspace(0, 1, 4098)[1:-1] computes them, i * (1/4097);
+#: (i + 1)/4097 rounds differently at some points.
+GRID = tuple((i + 1) * (1.0 / 4097) for i in range(4096))
 
 #: Highest local grid maxima refined.
 RESTARTS = 3

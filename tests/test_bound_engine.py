@@ -5,7 +5,7 @@ import random
 import pytest
 
 from chromabound import bound_engine, brent
-from chromabound.lattice_theta import GRID
+from chromabound.optimize import GRID
 from chromabound import (
     BoundQuery,
     best_l,

@@ -1,4 +1,4 @@
-import bisect
+import functools
 import importlib.util
 import itertools
 import math
@@ -21,11 +21,11 @@ from chromabound import (
     mu_z,
     ramanujan_tau,
 )
-from chromabound import optimize
-from chromabound.brent import cell_search_max
+from chromabound import lattice_theta, optimize
 from chromabound.lattice_combinatorics import is_prime
-from chromabound.lattice_theta import DEFAULT_SERIES_LENGTH, GRID, MuResult, _exceeds_one
-from chromabound.special_functions import check_positive, jacobi_theta, jacobi_theta_and_tail
+from chromabound.lattice_theta import DEFAULT_SERIES_LENGTH, MuResult
+from chromabound.optimize import GRID
+from chromabound.special_functions import jacobi_theta, jacobi_theta_and_tail
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
@@ -46,10 +46,43 @@ def dn_theta(n, t):
     return 0.5 * (jacobi_theta(3, t) ** n + jacobi_theta(4, t) ** n)
 
 
+def e8_theta(t):
+    """Oracle: the closed form theta_E8 = (theta2^8 + theta3^8 + theta4^8) / 2."""
+    return 0.5 * sum(jacobi_theta(kind, t) ** 8 for kind in (2, 3, 4))
+
+
+@functools.lru_cache(maxsize=None)
+def closed_form_max(label):
+    """Oracle: max theta(t)(1-t)^d of Dn, E8 or Z by the grid search, from its closed form."""
+    if label == "E8":
+        theta, dim = e8_theta, 8
+    elif label == "Z":
+        theta, dim = (lambda t: jacobi_theta(3, t)), 1
+    else:
+        dim = int(label[1:])
+        theta = functools.partial(dn_theta, dim)
+    return optimize.maximize_on_unit_interval(lambda t: theta(t) * (1.0 - t) ** dim)[1]
+
+
 def mu_dn(n):
-    """Oracle: mu of D_n from the closed form, by the reference grid search."""
-    _, max_value = optimize.maximize_on_unit_interval(lambda t: dn_theta(n, t) * (1.0 - t) ** n)
-    return max_value ** (-1.0 / n)
+    """Oracle: mu of D_n from the closed form."""
+    return closed_form_max(f"D{n}") ** (-1.0 / n)
+
+
+def count_calls(monkeypatch):
+    """Count the calls of the series' evaluators, each on a float t, and of theta3's split."""
+    calls = {"evaluate": 0, "_value_and_slope": 0, "tail_bound": 0, "_theta3_split": 0}
+    for name in calls:
+        owner = lattice_theta if name == "_theta3_split" else ThetaSeries
+        method = getattr(owner, name)
+
+        def counting(*args, method=method, name=name):
+            assert type(args[-1]) is float
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def divisors(j):
@@ -241,25 +274,24 @@ class TestMu:
 
     @pytest.mark.parametrize("series", [e8_series(16), leech_series(29)], ids=["E8-16", "Leech-29"])
     def test_certification_edge(self, series):
-        # The smallest K certified far enough past the maximizer at tol 1e-9,
-        # not at 1e-12.
+        # The smallest K that settles at tol 1e-9, not at 1e-12.
         result = mu_lattice(series, 1e-9)
         assert result.tail_bound < 1e-9
-        with pytest.raises(TailBoundError, match="edge of the certified region"):
+        with pytest.raises(TailBoundError, match="at the maximizer is not below 1e-12"):
             mu_lattice(series, 1e-12)
 
     @pytest.mark.parametrize(
-        "n, ks", [(21, (28, 32, 64, 512)), (38, (48, 64, 512))], ids=["D21", "D38"]
+        "n, ks", [(21, (56, 64, 512)), (38, (160, 256, 512))], ids=["D21", "D38"]
     )
     def test_argmax_does_not_depend_on_where_the_tail_certifies(self, n, ks):
-        # At the smallest K the certified region ends one grid point past
-        # t_star; the whole grid is scanned, so t_star is one float.
+        # From the smallest K that settles it on, t_star is one float: the
+        # search for it never looks at the tail.
         results = [mu_lattice(dn_series(n, K)) for K in ks]
         assert len({r.t_star for r in results}) == 1
         assert len({r.mu for r in results}) == 1
 
     def test_maximizer_past_the_certified_region_raises(self):
-        with pytest.raises(TailBoundError, match="at or past the edge of the certified region"):
+        with pytest.raises(TailBoundError, match="at the maximizer is not below 1e-12"):
             mu_lattice(dn_series(52, 16), 1e-12)
 
     @pytest.mark.parametrize(
@@ -268,50 +300,23 @@ class TestMu:
         ids=["success", "no-bound"],
     )
     def test_counts_series_evaluations(self, monkeypatch, series, error):
-        # The search evaluates the series at a few dozen points, not on the
-        # grid.  The tail rises over the grid up to t^2 = K/(K+1), so it is
-        # taken at the third grid point, at the first grid point past
-        # t_star and at t_star, or, on the no-bound path, at the third grid
-        # point and then at every grid point.
-        calls = {"evaluate": 0, "tail_bound": 0}
-        for name in calls:
-            method = getattr(ThetaSeries, name)
-
-            def counting(self, t, method=method, name=name):
-                assert type(t) is float
-                calls[name] += 1
-                return method(self, t)
-
-            monkeypatch.setattr(ThetaSeries, name, counting)
+        # The maximizer's search evaluates the series at a few dozen points,
+        # and the proof of the interval takes the series, its slope and
+        # its tail once at each point it visits, and the tail once more
+        # at t_star.
+        calls = count_calls(monkeypatch)
         if error is None:
-            result = mu_lattice(series)
+            mu_lattice(series)
             assert calls["evaluate"] <= 128
-            assert bisect.bisect(GRID, result.t_star) > 3
-            assert calls["tail_bound"] == 3
+            assert calls["tail_bound"] == calls["_value_and_slope"] + 1 <= 300
         else:
             with pytest.raises(error):
                 mu_lattice(series)
-            assert calls["evaluate"] <= len(GRID) // 4
-            assert calls["tail_bound"] == 1 + len(GRID)
-
-    @pytest.mark.parametrize(
-        "theta, tail, dim",
-        [
-            (lambda t: 1.0 + t, lambda t: 0.0, 1),  # 1 - t^2: each block bound exceeds 1
-            (lambda t: 1.0 + t, lambda t: 1e-3 * t, 1),  # exceeds 1 only for t < 1e-3
-            (lambda t: 1.0 + 5.0 * t, lambda t: 0.0, 1),
-            *[(s.evaluate, s.tail_bound, s.dim) for s in (dn_series(2, 64), dn_series(5, 1024))],
-        ],
-        ids=["below-one", "tail-lifts-it", "above-one", "D2-64", "D5-1024"],
-    )
-    def test_exceeds_one_matches_a_pointwise_pass(self, theta, tail, dim):
-        pointwise = any(
-            theta(t) * (1.0 - t) ** dim + tail(t) * (1.0 - t) ** dim > 1.0 for t in GRID
-        )
-        assert _exceeds_one(theta, tail, dim) == pointwise
+            assert calls["evaluate"] <= 128
+            assert calls["tail_bound"] == calls["_value_and_slope"] < 100
 
     def test_mu_z_argmax_does_not_depend_on_tol(self):
-        t_stars = {mu_z(tol).t_star for tol in (1e-9, 1e-12, 1e-20)}
+        t_stars = {mu_z(tol).t_star for tol in (1e-9, 1e-12, 1e-13)}
         assert len(t_stars) == 1
 
     def test_tail_bound_is_theta_remainder_at_t_star(self):
@@ -319,27 +324,101 @@ class TestMu:
         assert z.tail_bound == jacobi_theta_and_tail(3, z.t_star)[1]
 
     def test_tail_at_t_star_above_tol_raises(self):
-        assert mu_z(1e-20).tail_bound < 1e-20
+        assert mu_z(1e-12).tail_bound < 1e-26
         with pytest.raises(TailBoundError, match="at the maximizer"):
             mu_z(1e-30)
 
     @pytest.mark.parametrize("n, K", [(2, 1100), (5, 4096)])
     def test_long_dn_series_certifies_no_bound(self, n, K):
-        # From K on, theta plus tail is finite and at most 1 on the whole grid.
-        with pytest.raises(NoBoundError, match="at every grid point"):
+        with pytest.raises(NoBoundError, match="at most 1 \\+ 1e-09 on all of \\(0, 1\\)"):
             mu_lattice(dn_series(n, K))
 
-    @pytest.mark.parametrize("n", [1, 5, 6, 8])
-    def test_short_dn_series_asks_for_larger_k(self, n):
-        # At K = 1 the tail certifies fewer than 3 grid points, whether or
-        # not the lattice gives a bound (mu_dn(8) is about 0.963).
-        with pytest.raises(TailBoundError, match="on too small a region; request larger K"):
+    @pytest.mark.parametrize(
+        "n, error, match",
+        [
+            # With no nonzero norm stored, the tail bound takes the minimum
+            # norm 4, which is D1's own, and already proves no bound.
+            (1, NoBoundError, "gives no bound"),
+            *((n, TailBoundError, "request larger K") for n in (5, 6, 8)),
+        ],
+        ids=["1", "5", "6", "8"],
+    )
+    def test_short_dn_series_asks_for_larger_k(self, n, error, match):
+        # At K = 1 the tail bound is too large to prove anything, whether
+        # or not the lattice gives a bound (mu_dn(8) is about 0.963).
+        with pytest.raises(error, match=match):
             mu_lattice(dn_series(n, 1))
 
     def test_short_series_raises_at_every_tol(self):
         for tol in (1e-9, 1e-12):
             with pytest.raises(TailBoundError):
                 mu_lattice(e8_series(12), tol)
+
+
+_INTERVAL_CASES = {
+    **{
+        f"D{n}": (lambda tol, n=n: mu_capped(lambda K: dn_series(n, K), 512, tol))
+        for n in range(8, 25)
+    },
+    "E8": lambda tol: mu_capped(e8_series, 512, tol),
+    "Z": mu_z,
+}
+
+
+class TestInterval:
+    """``_mu`` proves [max_value, max_upper] for the maximum of the full objective."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("label", list(_INTERVAL_CASES))
+    def test_contains_the_closed_form_maximum(self, label, tol):
+        result = _INTERVAL_CASES[label](tol)
+        exact = closed_form_max(label)
+        # max_value is a float sum of the truncated series, the oracle one
+        # of the closed form: they may differ by a few ulps.
+        assert result.max_value <= exact * (1.0 + 1e-14)
+        assert exact <= result.max_upper
+        assert result.max_upper - result.max_value <= tol * result.max_value
+
+    @pytest.mark.parametrize("K", [64, 8192])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_small_dn_proves_no_bound_in_few_evaluations(self, monkeypatch, n, K):
+        series = dn_series(n, K)
+        calls = count_calls(monkeypatch)
+        with pytest.raises(NoBoundError, match="on all of"):
+            mu_lattice(series)
+        assert calls["_value_and_slope"] < 100
+
+    @pytest.mark.parametrize(
+        "label, K, most",
+        [("leech", 24, 0), ("dn:64", 64, 0), ("dn:64", 128, 4), ("dn:64", 256, 6)],
+    )
+    def test_too_short_a_prefix_fails_at_once(self, monkeypatch, label, K, most):
+        # The tail at the maximizer is not below tol, or the series plus
+        # its tail exceeds the aim at a point the proof visits early.
+        series = _builder(label)(K)
+        calls = count_calls(monkeypatch)
+        with pytest.raises(TailBoundError, match="request larger K"):
+            mu_lattice(series)
+        assert calls["_value_and_slope"] <= most
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda tol: mu_lattice(e8_series(64), tol),
+            lambda tol: mu_lattice(dn_series(16, 512), tol),
+            lambda tol: mu_lattice(dn_series(5, 64), tol),
+            mu_z,
+        ],
+        ids=["E8-64", "D16-512", "D5-64", "Z"],
+    )
+    @pytest.mark.parametrize("tol", [1e-15, 1e-20])
+    def test_unreachable_tol_raises(self, monkeypatch, run, tol):
+        # The rounding margin of the cell bounds is above 1e-15; the proof
+        # ends at a point it visits whose bound is above the aim.
+        calls = count_calls(monkeypatch)
+        with pytest.raises(TailBoundError, match="exceeds"):
+            run(tol)
+        assert 0 < calls["_value_and_slope"] + calls["_theta3_split"] <= 400
 
 
 def _builder(label):
@@ -415,10 +494,10 @@ class TestPrefix:
         "label, K, lengths",
         [
             ("leech", 2048, [64]),
-            ("dn:64", 8192, [64, 128]),  # D64 certifies from 82
+            ("dn:64", 8192, [64, 128, 256, 512]),
             ("dn:5", 8192, [64]),  # no bound, proven on the first prefix
             ("e8", 16, [16]),
-            ("dn:21", 28, [28]),
+            ("dn:21", 28, [28]),  # fails at the cap
             ("leech", 24, [24]),  # fails at K, as before
             ("leech", 63, [63]),
         ],
@@ -476,77 +555,13 @@ def rising_points(K):
     return [t for t in GRID if Fraction(t) ** 2 <= Fraction(K, K + 1)]
 
 
-def _mu_by_scan(label, dim, theta, tail, last_bound, tol, remedy):
-    """Oracle: the mu search that certified the grid point by point.
-
-    The tail is scanned lazily in grid order: on the first 3 points,
-    then on to the first certified point past the maximizer, or to the
-    first uncertified point.
-    """
-    check_positive(tol, "tol")
-    grid = GRID
-    tails = []  # tail on grid[0], grid[1], ..., up to the first not below tol
-
-    def certified(n):
-        while len(tails) < n and (not tails or tails[-1] < tol):
-            tails.append(tail(grid[len(tails)]))
-        return len(tails) - (not tails[-1] < tol)
-
-    count = certified(3)
-    if count < 3:
-        raise TailBoundError(f"tail bound below {tol} on too small a region; {remedy}")
-    t_star, max_value = cell_search_max(
-        theta, lambda t: (1.0 - t) ** dim, last_bound, xtol=1e-12
-    )
-    if not max_value > 1.0:
-        claim = (
-            f"theta_{label}(t)(1-t)^{dim} has maximum {max_value!r}, not above its"
-            f" t -> 0 limit 1, where its tail bound is below {tol}"
-        )
-        if not _exceeds_one(theta, tail, dim):
-            raise NoBoundError(
-                f"{claim}, and theta plus tail keeps it at most 1 at every grid"
-                " point of (0, 1), so mu = 1 gives no bound"
-            )
-        raise TailBoundError(
-            f"{claim}; theta plus tail exceeds 1 at some grid point, so a larger"
-            f" value is not ruled out; {remedy}"
-        )
-    while count == len(tails) < len(grid) and not t_star < grid[count - 1]:
-        count = certified(count + 1)
-    if not grid[0] < t_star < grid[count - 1]:
-        count = certified(len(grid))
-        past = (
-            f", and the tail bound {tails[count]!r} at the next grid point"
-            f" t = {grid[count]!r} is not below {tol}"
-            if count < len(grid)
-            else ""
-        )
-        raise TailBoundError(
-            f"tail bound at the maximizer is not certified below {tol}: the maximizer"
-            f" sits at or past the edge of the certified region{past}; {remedy}"
-        )
-    tail_at_star = tail(t_star)
-    if not tail_at_star < tol:
-        raise TailBoundError(f"tail bound {tail_at_star!r} at the maximizer is not below {tol}")
-    return MuResult(label, dim, t_star, max_value ** (-1.0 / dim), max_value, tail_at_star)
-
-
-def _outcome(run):
-    """A MuResult with its floats as float.hex, or the error class and message."""
-    r = _settle(run)
-    if isinstance(r, tuple):
-        return r
-    return r.lattice_label, r.dim, *(x.hex() for x in (r.t_star, r.mu, r.max_value, r.tail_bound))
-
-
 def _truncations(full, ks):
     return [ThetaSeries(full.dim, full.coeffs[: K + 1], full.label) for K in ks]
 
 
 class TestCertification:
-    """``mu_lattice`` certifies by one tail value on the rising region of
-    ``ThetaSeries.tail_bound`` (its docstring's step 5)."""
+    """``ThetaSeries.tail_bound`` rises in t up to t^2 = K/(K+1); no proof
+    of ``_mu`` relies on it."""
 
     @pytest.mark.parametrize(
         "series",
@@ -565,32 +580,6 @@ class TestCertification:
         assert all(a <= b for a, b in zip(values, values[1:]))
         # Past the rising region the exact bound is above 0.34 (K >= 16).
         assert all(series.tail_bound(t) > 0.34 for t in GRID[len(points) :])
-
-    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    @pytest.mark.parametrize(
-        "family",
-        [
-            _truncations(e8_series(199), range(16, 200)),
-            _truncations(leech_series(199), range(16, 200)),
-            [s for n in range(1, 65) for s in _truncations(dn_series(n, 100), (16, 40, 100))],
-        ],
-        ids=["E8", "Leech", "Dn"],
-    )
-    def test_same_outcome_as_the_pointwise_scan(self, family, tol):
-        for series in family:
-            at_one = float(sum(series.coeffs))
-            oracle = _outcome(
-                lambda: _mu_by_scan(
-                    series.label,
-                    series.dim,
-                    series.evaluate,
-                    series.tail_bound,
-                    lambda a: (1.0 - a) ** series.dim * at_one,
-                    tol,
-                    "request larger K",
-                )
-            )
-            assert _outcome(lambda: mu_lattice(series, tol)) == oracle, series.label
 
 
 class TestDoubleCapCompare:

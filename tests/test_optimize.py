@@ -5,7 +5,7 @@ import pytest
 
 from chromabound import optimize
 from chromabound.bound_engine import theta_ratio
-from chromabound.lattice_theta import GRID
+from chromabound.optimize import GRID
 from chromabound.optimize import golden_section_max, maximize_on_unit_interval
 
 
