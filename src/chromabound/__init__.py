@@ -21,7 +21,6 @@ _EXPORTS = {
         "BoundResult",
         "best_l",
         "chromatic_lower_bound",
-        "kupavskii_upper_base",
         "maximize_over_t",
         "table",
         "theta_ratio",
@@ -58,6 +57,7 @@ _EXPORTS = {
         "gamma_chi",
         "jacobi_theta",
         "jacobi_theta_and_tail",
+        "kupavskii_upper_base",
         "one_minus_t_theta_max",
         "theta_full",
         "theta_truncated",

@@ -58,36 +58,43 @@ on its own (m, k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import truediv
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .brent import bisect_cells, golden_section_max, runs, survives
 from .special_functions import _stopped_sum, check_positive, check_unit_interval
 
 
-@dataclass(frozen=True)
-class BoundQuery:
+class _BoundQueryFields(NamedTuple):
+    m: int
+    k: int
+
+
+class BoundQuery(_BoundQueryFields):
     """Number of forbidden distances ``m`` and clique parameter ``k``.
 
     The bound is nontrivial only for k <= m (gamma < 1); larger k is
     accepted but flagged.
     """
 
-    m: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.k < 1:
+    def __new__(cls, m: int, k: int) -> "BoundQuery":
+        if m < 1 or k < 1:
             raise ValueError("m and k must be positive integers")
+        return super().__new__(cls, m, k)
+
+    @classmethod
+    def _make(cls, iterable) -> "BoundQuery":
+        # _replace builds its record here; validate it like any other.
+        return cls(*iterable)
 
     @property
     def gamma(self) -> float:
         return self.k / (self.m + 1)
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """One cell of the lower-bound table with its maximizing parameters."""
 
     m: int
@@ -295,13 +302,6 @@ def chromatic_lower_bound(query: BoundQuery, tol: float = 1e-12) -> BoundResult:
         value=value,
         warning=warning,
     )
-
-
-def kupavskii_upper_base(m: int) -> float:
-    """Base 2(sqrt(m) + 1) of the known upper bound for chi(R^n, A_m)."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return 2.0 * (math.sqrt(m) + 1.0)
 
 
 def table(m_max: int, k_max: int, tol: float = 1e-12) -> List[BoundResult]:

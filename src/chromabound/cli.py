@@ -23,7 +23,6 @@ at call time, so each command runs only the layers it uses.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -114,6 +113,8 @@ def _render_records(
             doc["results"] = list(records)
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
+        import csv  # here, so that the other formats do not load it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         header = list(records[0].keys())
@@ -187,7 +188,7 @@ def constants(tol: float, fmt: str, output: Optional[str]) -> None:
         "inner_max": gc.inner_max,
         "inv_sqrt_2": special_functions.INV_SQRT_2,
         "sqrt3_over_2": special_functions.SQRT3_OVER_2,
-        "kupavskii_base_m1": bound_engine.kupavskii_upper_base(1),
+        "kupavskii_base_m1": special_functions.kupavskii_upper_base(1),
     }
     _deliver(_render_records([record], fmt, tol, "constants"), output)
 

@@ -5,9 +5,10 @@ bound, the pairing formula for the largest half squared distance inside
 an arrangement class, the alternating-square identity, the multinomial
 max-versus-mean inequality, and deterministic prime selection.
 
-It also holds the package's one exact polynomial-power kernel,
-``_sparse_power``: box counts are prefix sums of its coefficients, and
-``lattice_theta`` raises the D_n and tau series with it.
+Box counts are prefix sums of the coefficients of a power, expanded
+by ``special_functions._sparse_power``, the package's one exact
+polynomial-power kernel, which also raises ``lattice_theta``'s D_n and
+tau series.
 
 Everything here is exact integer arithmetic except where a float is the
 honest answer (the generating-function bound).
@@ -16,27 +17,37 @@ honest answer (the generating-function bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+
+from .special_functions import _sparse_power
 
 
-@dataclass(frozen=True)
-class CompositionProfile:
+class _CompositionProfileFields(NamedTuple):
+    counts: Tuple[int, ...]
+
+
+class CompositionProfile(_CompositionProfileFields):
     """Symbol counts of an arrangement class inside {0, ..., l}^n.
 
     ``counts[i]`` is the number of coordinates equal to i; the ambient
     dimension is n = sum(counts) and the box side is l = len(counts) - 1.
     """
 
-    counts: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.counts:
+    def __new__(cls, counts: Tuple[int, ...]) -> "CompositionProfile":
+        if not counts:
             raise ValueError("counts must be nonempty")
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative")
+        return super().__new__(cls, counts)
+
+    @classmethod
+    def _make(cls, iterable) -> "CompositionProfile":
+        # _replace builds its record here; validate it like any other.
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -45,28 +56,6 @@ class CompositionProfile:
     @property
     def l(self) -> int:
         return len(self.counts) - 1
-
-
-def _sparse_power(g: List[int], a: int, limit: int) -> List[int]:
-    """Coefficients 0..limit of (1 + sum_{i >= 1} g_i q^i)^a; g[0] is taken as 1.
-
-    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), from f' g = a f g':
-    n f_n = sum_{i >= 1} ((a + 1) i - n) g_i f_{n-i}, one pass over the
-    nonzero g_i per coefficient.  A division by n that leaves a remainder
-    raises ArithmeticError.
-    """
-    terms = [(i, gi) for i, gi in enumerate(g[1 : limit + 1], start=1) if gi]
-    f = [1] + [0] * limit
-    for n in range(1, limit + 1):
-        acc = 0
-        for i, gi in terms:
-            if i > n:
-                break
-            acc += ((a + 1) * i - n) * gi * f[n - i]
-        f[n], remainder = divmod(acc, n)
-        if remainder:
-            raise ArithmeticError(f"power recurrence is not exact at q^{n}")
-    return f
 
 
 @lru_cache(maxsize=64)

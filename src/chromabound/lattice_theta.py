@@ -20,9 +20,9 @@ spherical sets.  Coefficients are exact integers:
            exact, and anything else is a hard failure.
 
 D_n and tau are powers of sparse series, expanded by the package's exact
-power recurrence (``lattice_combinatorics._sparse_power``) in
-O(K * nonzero terms) integer steps.  The kernel is looked up when it is
-called, so E8 and Z never run that layer.
+power recurrence (``special_functions._sparse_power``) in
+O(K * nonzero terms) integer steps, so no lattice runs the combinatorics
+layer.
 
 mu is maximized in pure Python by ``brent.cell_search_max``, a best-first
 bisection of [0, 1) with proven cell bounds and Brent refinement, and
@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
-from . import lattice_combinatorics
 from .brent import cell_search_max
 from .special_functions import (
     SQRT3_OVER_2,
+    _sparse_power,
     check_positive,
     check_unit_interval,
     jacobi_theta,
@@ -77,26 +76,41 @@ class NoBoundError(ValueError):
     help."""
 
 
-@dataclass(frozen=True)
-class ThetaSeries:
-    """Truncated theta series of an even integral lattice.
+class _TolBelowMarginError(TailBoundError):
+    """Raised by ``_mu`` for a tol that the rounding margin of its cell
+    bounds leaves no room for; the margin grows with the series, so only
+    a larger tol helps."""
 
-    ``coeffs[j]`` is the exact number of lattice vectors with squared
-    norm 2j, for j = 0 .. K.  ``tail_bound`` works out a proven bound on
-    the omitted terms from ``dim`` and ``coeffs`` alone.
-    """
 
+class _ThetaSeriesFields(NamedTuple):
     dim: int
     coeffs: Tuple[int, ...]
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+
+class ThetaSeries(_ThetaSeriesFields):
+    """Truncated theta series of an even integral lattice.
+
+    ``coeffs[j]`` is the exact number of lattice vectors with squared
+    norm 2j, for j = 0 .. K.  ``tail_bound`` works out a proven bound on
+    the omitted terms from ``dim`` and ``coeffs`` alone.  The class has
+    no ``__slots__``, so that its cached properties have an instance
+    dictionary to live in; the fields stay read-only.
+    """
+
+    def __new__(cls, dim: int, coeffs: Tuple[int, ...], label: str = "") -> "ThetaSeries":
+        if dim < 1:
             raise ValueError("dim must be a positive integer")
-        if not self.coeffs or self.coeffs[0] != 1:
+        if not coeffs or coeffs[0] != 1:
             raise ValueError("coefficient 0 must count exactly the zero vector")
-        if any(c < 0 for c in self.coeffs):
+        if any(c < 0 for c in coeffs):
             raise ValueError("coefficients must be nonnegative")
+        return super().__new__(cls, dim, coeffs, label)
+
+    @classmethod
+    def _make(cls, iterable) -> "ThetaSeries":
+        # _replace builds its record here; validate it like any other.
+        return cls(*iterable)
 
     @cached_property
     def _float_coeffs_high_first(self) -> Tuple[float, ...]:
@@ -214,8 +228,7 @@ class ThetaSeries:
         return sum(w * e ** (self.dim - 0.5 * i) for i, w in enumerate(self._last_weights)) / (a * a)
 
 
-@dataclass(frozen=True)
-class MuResult:
+class MuResult(NamedTuple):
     """Double-cap quantity mu = (max theta(t)(1-t)^d)^(-1/d) with maximizer.
 
     ``max_value`` is the truncated series' maximum, at ``t_star``, and
@@ -246,7 +259,7 @@ def dn_series(n: int, K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
     squares = [1] + [0] * limit
     for c in range(1, math.isqrt(limit) + 1):
         squares[c * c] = 2
-    coeffs = tuple(lattice_combinatorics._sparse_power(squares, n, limit)[0::2])
+    coeffs = tuple(_sparse_power(squares, n, limit)[0::2])
     return ThetaSeries(dim=n, coeffs=coeffs, label=f"D{n}")
 
 
@@ -282,7 +295,7 @@ def ramanujan_tau(K: int) -> List[int]:
     jacobi_cube = [0] * (limit + 1)
     for k in range((math.isqrt(8 * limit + 1) + 1) // 2):  # k(k+1)/2 <= limit
         jacobi_cube[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-    return [0] + lattice_combinatorics._sparse_power(jacobi_cube, 8, limit)
+    return [0] + _sparse_power(jacobi_cube, 8, limit)
 
 
 def leech_series(K: int = DEFAULT_SERIES_LENGTH) -> ThetaSeries:
@@ -357,7 +370,20 @@ def _mu(
     at the maximizer not below tol; a visited point where (P + R) w
     exceeds the aim, the value that the bounds of ever smaller cells
     about it tend to, so they cannot close; or a cell of width
-    ``_MIN_WIDTH`` above the aim, for a tol the margin leaves no room for.
+    ``_MIN_WIDTH`` above the aim.
+
+    A tol of at most (m - 1)/4 raises ``_TolBelowMarginError`` before the
+    bisection, since no cell about the maximizer could close.  Each bound
+    is m^2 times a value of at least 1 - e times the full objective's
+    maximum on the cell, e = (3 (terms + dim) + 32) 2^-53 < 3 (m - 1)/4,
+    and max_value is at most 1 + e times the full objective at t_star.
+    So every cell about t_star keeps a bound of at least
+    max_value m^2 (1 - e)/(1 + e) >= max_value (1 + (m - 1)/2 - 3 (m - 1)^2),
+    above the aim max_value (1 + tol), as m - 1 < 1/12 and
+    tol <= (m - 1)/4.  Where max_value is at most 1, the
+    cells about t = 0, where the objective is 1, keep a bound of at least
+    m^2 (1 - e) > 1 + tol the same way.  m grows with ``terms``, so a
+    longer series fails too.
     """
     check_positive(tol, "tol")
     t_star, max_value = cell_search_max(
@@ -373,6 +399,11 @@ def _mu(
     else:
         aim, goal = 1.0 + tol, f"1 + {tol}"
     m = 1.0 + (4 * (terms + dim) + 64) * 2.0 ** -53
+    if not tol > (m - 1.0) / 4.0:
+        raise _TolBelowMarginError(
+            f"tol {tol} is at most {(m - 1.0) / 4.0!r}, a quarter of the rounding margin"
+            f" of the cell bounds at {terms} terms; request a larger tol"
+        )
     points = {}  # t -> P, P', R, w, (1-t)^(dim-1)
 
     def visit(t: float) -> None:
@@ -456,14 +487,15 @@ def mu_capped(build: Callable[[int], ThetaSeries], K: int, tol: float = 1e-9) ->
     the untruncated objective, and ``tail_bound`` is below tol.  A
     NoBoundError at any P is final for the same reason: it proves the
     untruncated objective at most 1 + tol on all of (0, 1), which no
-    longer prefix can overturn.
+    longer prefix can overturn.  A tol below the rounding margin of the
+    proof is final too, since the margin grows with P (``_mu``).
     """
     P = min(_FIRST_PREFIX, K)
     while True:
         try:
             return mu_lattice(build(P), tol)
-        except TailBoundError:
-            if P >= K:
+        except TailBoundError as exc:
+            if P >= K or isinstance(exc, _TolBelowMarginError):
                 raise
             P = min(2 * P, K)
 

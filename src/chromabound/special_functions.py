@@ -24,17 +24,21 @@ The public evaluators take the series argument as a Python float (an
 int or a numpy scalar is converted with ``float``) and return Python
 floats; ``jacobi_theta_and_tail`` returns the Jacobi value and a bound
 on its truncation remainder.  They are pure functions of their
-arguments, hold no shared state and never import numpy.  Two helpers
+arguments, hold no shared state and never import numpy.  Three helpers
 serve the whole package: ``check_positive``, the one check of a positive
-argument (nan rejected), and ``_stopped_sum``, the partial sum of both
-``theta_truncated`` and ``bound_engine``'s ratio R_l.
+argument (nan rejected); ``_stopped_sum``, the partial sum of both
+``theta_truncated`` and ``bound_engine``'s ratio R_l; and
+``_sparse_power``, the one exact polynomial-power kernel, which raises
+the D_n and tau series of ``lattice_theta`` and the box counts of
+``lattice_combinatorics``.  ``kupavskii_upper_base``, the base of the
+known upper bound, sits beside ``INV_SQRT_2`` and ``SQRT3_OVER_2``, the
+other reference constants that the ``constants`` command prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import List, NamedTuple, Tuple
 
 from .brent import cell_search_max
 
@@ -53,8 +57,7 @@ _MODULAR_SWITCH = math.exp(-math.pi)
 _OBJECTIVE_TAIL_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class GammaChiResult:
+class GammaChiResult(NamedTuple):
     """The constant sqrt(pi/2) * max (1 - e^-u)/sqrt(u) with its maximizer."""
 
     value: float
@@ -100,6 +103,28 @@ def _stopped_sum(q: float, r: float, l: int) -> float:
         total = s
         q = q * r
     return total
+
+
+def _sparse_power(g: List[int], a: int, limit: int) -> List[int]:
+    """Coefficients 0..limit of (1 + sum_{i >= 1} g_i q^i)^a; g[0] is taken as 1.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), from f' g = a f g':
+    n f_n = sum_{i >= 1} ((a + 1) i - n) g_i f_{n-i}, one pass over the
+    nonzero g_i per coefficient.  A division by n that leaves a remainder
+    raises ArithmeticError.
+    """
+    terms = [(i, gi) for i, gi in enumerate(g[1 : limit + 1], start=1) if gi]
+    f = [1] + [0] * limit
+    for n in range(1, limit + 1):
+        acc = 0
+        for i, gi in terms:
+            if i > n:
+                break
+            acc += ((a + 1) * i - n) * gi * f[n - i]
+        f[n], remainder = divmod(acc, n)
+        if remainder:
+            raise ArithmeticError(f"power recurrence is not exact at q^{n}")
+    return f
 
 
 def theta_truncated(t: float, gamma: float, l: int) -> float:
@@ -253,6 +278,13 @@ def gamma_chi(tol: float = 1e-12) -> GammaChiResult:
         u = u - g(u) / (math.exp(u) - 2.0)
     inner = (1.0 - math.exp(-u)) / math.sqrt(u)
     return GammaChiResult(value=math.sqrt(math.pi / 2.0) * inner, u_star=u, inner_max=inner)
+
+
+def kupavskii_upper_base(m: int) -> float:
+    """Base 2(sqrt(m) + 1) of the known upper bound for chi(R^n, A_m)."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    return 2.0 * (math.sqrt(m) + 1.0)
 
 
 def one_minus_t_theta_max(gamma: float, tol: float = 1e-12) -> Tuple[float, float]:

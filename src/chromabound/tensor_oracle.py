@@ -24,9 +24,8 @@ of the partitions on whose blocks the pattern is constant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from .lattice_combinatorics import count_box, is_prime, next_prime
 
@@ -43,19 +42,28 @@ class DiameterError(ValueError):
     """Pairwise half squared distances reach (m+1)*p, outside the valid window."""
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Disjoint nonempty blocks covering {1, ..., k}."""
-
+class _SetPartitionFields(NamedTuple):
     blocks: FrozenSet[FrozenSet[int]]
 
-    def __post_init__(self) -> None:
-        flat: List[int] = [i for block in self.blocks for i in block]
-        if not flat or any(not block for block in self.blocks):
+
+class SetPartition(_SetPartitionFields):
+    """Disjoint nonempty blocks covering {1, ..., k}."""
+
+    __slots__ = ()
+
+    def __new__(cls, blocks: FrozenSet[FrozenSet[int]]) -> "SetPartition":
+        flat: List[int] = [i for block in blocks for i in block]
+        if not flat or any(not block for block in blocks):
             raise ValueError("blocks must be nonempty")
         k = max(flat)
         if sorted(flat) != list(range(1, k + 1)):
             raise ValueError("blocks must partition {1, ..., k}")
+        return super().__new__(cls, blocks)
+
+    @classmethod
+    def _make(cls, iterable) -> "SetPartition":
+        # _replace builds its record here; validate it like any other.
+        return cls(*iterable)
 
     @classmethod
     def of(cls, blocks) -> "SetPartition":
@@ -145,33 +153,42 @@ def partition_coefficients(k: int) -> Dict[SetPartition, int]:
     return out
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class _PointConfigFields(NamedTuple):
+    points: Tuple[Tuple[int, ...], ...]
+    p: int
+    m: int
+
+
+class PointConfig(_PointConfigFields):
     """Integer points with a prime modulus p and distance-set size m.
 
     All pairwise squared distances must be even; the product indicator
     is valid while every half squared distance stays below (m+1)*p.
     """
 
-    points: Tuple[Tuple[int, ...], ...]
-    p: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __new__(cls, points: Tuple[Tuple[int, ...], ...], p: int, m: int) -> "PointConfig":
+        if m < 1:
             raise ValueError("m must be a positive integer")
-        if not is_prime(self.p):
-            raise NonPrimeModulusError(f"{self.p} is not prime")
-        if not self.points:
+        if not is_prime(p):
+            raise NonPrimeModulusError(f"{p} is not prime")
+        if not points:
             raise ValueError("at least one point is required")
-        dims = {len(pt) for pt in self.points}
+        dims = {len(pt) for pt in points}
         if len(dims) != 1:
             raise ValueError("points must share one dimension")
-        for a, b in itertools.combinations(self.points, 2):
+        for a, b in itertools.combinations(points, 2):
             if sum((x - y) ** 2 for x, y in zip(a, b)) % 2:
                 raise OddSquaredDistanceError(
                     f"points {a} and {b} are at odd squared distance"
                 )
+        return super().__new__(cls, points, p, m)
+
+    @classmethod
+    def _make(cls, iterable) -> "PointConfig":
+        # _replace builds its record here; validate it like any other.
+        return cls(*iterable)
 
     def half_squared_distance(self, i: int, j: int) -> int:
         a, b = self.points[i], self.points[j]
@@ -216,8 +233,7 @@ def simplex_indicator(cfg: PointConfig, k: int) -> int:
     return h * f % cfg.p
 
 
-@dataclass(frozen=True)
-class CliqueBoundReport:
+class CliqueBoundReport(NamedTuple):
     """Exact extremal subset size against the counting rank bound."""
 
     n: int

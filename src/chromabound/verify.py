@@ -23,14 +23,12 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from . import _SUITES, bound_engine, lattice_combinatorics as combi, special_functions, tensor_oracle
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     passed: bool

@@ -18,7 +18,7 @@ from chromabound import (
     profile_diameter,
     profile_diameter_bruteforce,
 )
-from chromabound.lattice_combinatorics import _sparse_power
+from chromabound.special_functions import _sparse_power
 
 
 def enumerate_box_count(n, l, d):

@@ -413,11 +413,31 @@ class TestInterval:
     )
     @pytest.mark.parametrize("tol", [1e-15, 1e-20])
     def test_unreachable_tol_raises(self, monkeypatch, run, tol):
-        # The rounding margin of the cell bounds is above 1e-15; the proof
-        # ends at a point it visits whose bound is above the aim.
+        # A quarter of the rounding margin of the cell bounds is above
+        # 1e-15, so no cell about the maximizer could close: the proof
+        # fails before its first evaluation and asks for a larger tol.
+        calls = count_calls(monkeypatch)
+        with pytest.raises(TailBoundError, match="request a larger tol$"):
+            run(tol)
+        assert calls["_value_and_slope"] + calls["_theta3_split"] == 0
+
+    @pytest.mark.parametrize(
+        "run, terms, dim",
+        [
+            (lambda tol: mu_lattice(e8_series(64), tol), 65, 8),
+            (lambda tol: mu_lattice(dn_series(16, 512), tol), 513, 16),
+            (lambda tol: mu_lattice(dn_series(5, 64), tol), 65, 5),
+            (mu_z, 33, 1),
+        ],
+        ids=["E8-64", "D16-512", "D5-64", "Z"],
+    )
+    def test_tol_just_above_the_floor_fails_in_the_proof(self, monkeypatch, run, terms, dim):
+        # Twice the floor (m - 1)/4 = (terms + dim + 16) 2^-53 is still
+        # too small for the proof; it ends at a point it visits whose
+        # bound is above the aim.
         calls = count_calls(monkeypatch)
         with pytest.raises(TailBoundError, match="exceeds"):
-            run(tol)
+            run(2 * (terms + dim + 16) * 2.0 ** -53)
         assert 0 < calls["_value_and_slope"] + calls["_theta3_split"] <= 400
 
 
@@ -480,7 +500,7 @@ class TestPrefix:
         build = _builder(label)
         prefix = _settle(lambda: mu_capped(build, K))
         full = _settle(lambda: mu_lattice(build(K)))
-        if isinstance(full, tuple):
+        if not isinstance(full, MuResult):
             assert prefix == full
             return
         assert isinstance(prefix, MuResult)
@@ -504,6 +524,17 @@ class TestPrefix:
     )
     def test_schedule(self, label, K, lengths):
         assert _prefix_lengths(label, K) == lengths
+
+    def test_tol_below_the_margin_stops_at_the_first_prefix(self):
+        # The rounding margin of the proof grows with the prefix, so no
+        # longer prefix can meet a tol it leaves no room for.
+        lengths = []
+        error = _settle(
+            lambda: mu_capped(lambda P: lengths.append(P) or dn_series(5, P), 8192, 1e-15)
+        )
+        assert lengths == [64]
+        assert error[0] is lattice_theta._TolBelowMarginError
+        assert "tol 1e-15" in error[1] and error[1].endswith("request a larger tol")
 
     def test_lengths_double_up_to_the_cap_and_stop(self):
         # A stand-in that certifies at no length: the error raised is that

@@ -21,10 +21,14 @@ LAYERS = chromabound._LAYERS
 
 # Imports chromabound.cli, runs it in-process on the argv given as JSON
 # (none if empty) and prints the registered layers, the layers whose
-# bodies ran (one not yet run is still a lazy module subclass) and
-# whether numpy was imported.
+# bodies ran (one not yet run is still a lazy module subclass), whether
+# numpy was imported, and which of the modules the package could load
+# for itself (``OWN_IMPORTS``) were imported although ``import click``
+# alone does not import them.
 PROBE = """
 import contextlib, io, json, sys, types
+import click
+preloaded = set(sys.modules)
 import chromabound.cli
 argv = json.loads(sys.argv[1])
 code = 0
@@ -38,8 +42,13 @@ print(json.dumps({
     "registered": sorted(layers),
     "executed": sorted(n for n, m in layers.items() if type(m) is types.ModuleType),
     "numpy": "numpy" in sys.modules,
+    "own_imports": sorted(n for n in json.loads(sys.argv[2]) if n in sys.modules and n not in preloaded),
 }))
 """
+
+#: Standard modules that no command needs for itself: records are named
+#: tuples, and only ``--format csv`` writes csv.
+OWN_IMPORTS = ["csv", "dataclasses"]
 
 
 def run_fresh(code, *args):
@@ -55,13 +64,16 @@ def run_fresh(code, *args):
 
 
 def fresh(argv):
-    return run_fresh(PROBE, json.dumps(argv))
+    return run_fresh(PROBE, json.dumps(argv), json.dumps(OWN_IMPORTS))
 
 
+# Every lattice, Leech and D_n included, since their power kernel
+# _sparse_power lives in special_functions.
 LATTICE_LAYERS = ["brent", "lattice_theta", "special_functions"]
-# Leech and D_n coefficients are powers raised by lattice_combinatorics._sparse_power.
-POWER_LATTICE_LAYERS = sorted([*LATTICE_LAYERS, "lattice_combinatorics"])
 SCALAR_LAYERS = ["bound_engine", "brent", "special_functions"]
+# lattice_combinatorics takes _sparse_power from special_functions, which
+# takes its cell search from brent.
+COMBINATORICS_LAYERS = ["brent", "lattice_combinatorics", "special_functions"]
 
 
 @pytest.mark.parametrize(
@@ -76,16 +88,17 @@ SCALAR_LAYERS = ["bound_engine", "brent", "special_functions"]
         (["table", "--m-max", "2", "--k-max", "2"], SCALAR_LAYERS),
         # The mu search is pure Python; no command runs optimize.
         (["lattice-mu", "--lattice", "zn"], LATTICE_LAYERS),
-        (["constants"], SCALAR_LAYERS),
+        # kupavskii_upper_base sits beside the other reference constants.
+        (["constants"], ["brent", "special_functions"]),
         (["verify", "--suite", "all"], sorted(n for n in LAYERS if n not in ("lattice_theta", "optimize"))),
         # Each suite runs only the layers its checks call.
         (["verify", "--suite", "theta"], ["brent", "special_functions", "verify"]),
         (["verify", "--suite", "bounds"], [*SCALAR_LAYERS, "verify"]),
-        (["verify", "--suite", "combinatorics"], ["lattice_combinatorics", "verify"]),
-        (["verify", "--suite", "tensor"], ["lattice_combinatorics", "tensor_oracle", "verify"]),
-        (["lattice-mu", "--lattice", "dn:16"], POWER_LATTICE_LAYERS),
+        (["verify", "--suite", "combinatorics"], [*COMBINATORICS_LAYERS, "verify"]),
+        (["verify", "--suite", "tensor"], sorted([*COMBINATORICS_LAYERS, "tensor_oracle", "verify"])),
+        (["lattice-mu", "--lattice", "dn:16"], LATTICE_LAYERS),
         (["lattice-mu", "--lattice", "e8"], LATTICE_LAYERS),
-        (["lattice-mu", "--lattice", "leech"], POWER_LATTICE_LAYERS),
+        (["lattice-mu", "--lattice", "leech"], LATTICE_LAYERS),
     ],
     ids=[
         "version", "bound-help", "lattice-mu-help", "bound", "table", "lattice-mu", "constants",
@@ -99,6 +112,23 @@ def test_command_executes_only_its_layers(argv, executed):
     assert found["registered"] == sorted(LAYERS)
     assert found["executed"] == executed
     assert not found["numpy"]
+    assert found["own_imports"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, own_imports",
+    [
+        (["table", "--m-max", "2", "--k-max", "2", "--format", "csv"], ["csv"]),
+        (["table", "--m-max", "2", "--k-max", "2", "--format", "json"], []),
+        (["lattice-mu", "--lattice", "e8", "--format", "csv"], ["csv"]),
+    ],
+    ids=["table-csv", "table-json", "lattice-mu-csv"],
+)
+def test_csv_is_imported_only_for_csv_output(argv, own_imports):
+    # The positive controls show that the probe sees an import of csv.
+    found = fresh(argv)
+    assert found["code"] == 0
+    assert found["own_imports"] == own_imports
 
 
 def test_importing_cli_registers_every_layer_and_runs_none():
@@ -107,6 +137,7 @@ def test_importing_cli_registers_every_layer_and_runs_none():
     assert found["registered"] == sorted(LAYERS)
     assert found["executed"] == []
     assert not found["numpy"]
+    assert found["own_imports"] == []
 
 
 # The commands of the CI step "Commands run without numpy".
