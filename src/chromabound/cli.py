@@ -24,7 +24,6 @@ at call time, so each command runs only the layers it uses.
 from __future__ import annotations
 
 import io
-import json
 import math
 import sys
 from typing import Dict, Optional, Sequence
@@ -106,6 +105,8 @@ def _render_records(
     records: Sequence[Dict[str, object]], fmt: str, tol: float, command: str
 ) -> str:
     if fmt == "json":
+        import json  # here, so that plain and csv output do not load it
+
         doc: Dict[str, object] = {"command": command, "tol": tol}
         if len(records) == 1:
             doc.update(records[0])
@@ -113,7 +114,7 @@ def _render_records(
             doc["results"] = list(records)
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
-        import csv  # here, so that the other formats do not load it
+        import csv  # here, so that plain and json output do not load it
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

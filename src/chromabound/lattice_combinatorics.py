@@ -88,7 +88,9 @@ def gf_upper_bound(n: int, l: int, d: int, t: float) -> float:
         raise ValueError("t must lie in (0, 1)")
     if n < 1 or l < 0 or d < 0:
         raise ValueError("need n >= 1, l >= 0, d >= 0")
-    base = sum(t ** i for i in range(l + 1))
+    base = 1.0
+    for _ in range(l):
+        base = base * t + 1.0
     try:
         return math.exp(n * math.log(base) - d * math.log(t))
     except OverflowError:
@@ -182,6 +184,8 @@ def profile_diameter_bruteforce(
     total = multinomial(profile.n, counts)
     if total > budget:
         raise ValueError(f"{total} arrangements exceed the budget of {budget}")
+    # weights[a][b] = (a - b)^2, the squared step of one entry T[a][b].
+    weights = [[(a - b) * (a - b) for b in range(len(counts))] for a in range(len(counts))]
     best: Dict[Tuple[int, Tuple[int, ...]], int] = {}
 
     def widest(a: int, columns: Tuple[int, ...]) -> int:
@@ -192,7 +196,7 @@ def profile_diameter_bruteforce(
         key = (a, columns)
         if key not in best:
             best[key] = max(
-                sum(t * (a - b) * (a - b) for b, t in enumerate(row))
+                sum(t * w for t, w in zip(row, weights[a]))
                 + widest(a + 1, tuple(c - t for c, t in zip(columns, row)))
                 for row in _compositions(counts[a], columns)
             )
@@ -236,17 +240,11 @@ def multinomial_lemma_check(
     total = math.comb(n + l, l)
     if total > budget:
         raise ValueError(f"{total} compositions exceed the budget of {budget}")
+    # The pairs (i, j) with c_i > c_j, whose order a_i <= a_j is required.
+    ordered = [(i, j) for i in range(l + 1) for j in range(l + 1) if c[i] > c[j]]
     lhs_max = 0.0
     for a in _compositions(n, (n,) * (l + 1)):
-        ok = True
-        for i in range(l + 1):
-            for j in range(l + 1):
-                if c[i] > c[j] and a[i] > a[j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any(a[i] > a[j] for i, j in ordered):
             continue
         value = multinomial(n, a) * t ** sum(ci * ai for ci, ai in zip(c, a))
         if value > lhs_max:
@@ -259,12 +257,20 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, correct for all n below 3.3 * 10^24."""
+    """Deterministic Miller-Rabin, correct for all n below 3.3 * 10^24.
+
+    The witnesses are the primes up to 37, tried first as divisors.  A
+    composite n below 41^2 = 1681 has a prime factor at most
+    sqrt(n) < 41, so at most 37, and one of them divides it: an n below
+    1681 that none divides is prime without a Miller-Rabin round.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

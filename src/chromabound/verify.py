@@ -178,9 +178,13 @@ def drop_last_term_improves():
             yield f"gamma={gamma} l={l}: {dropped} <= {value}"
 
 
+@functools.lru_cache(maxsize=1)
 def _combinatorics_corpus() -> Tuple[List[List[int]], List[Tuple[int, int, List[float], float]]]:
     """The diameter cases (sorted symbol counts) and the multinomial cases
-    ``(n, l, c, t)``, drawn in that order from one seeded stream."""
+    ``(n, l, c, t)``, drawn in that order from one seeded stream.
+
+    Drawn once per process and shared by the two checks that read it, so
+    no caller may change it."""
     rng = random.Random(0)
     diameter = []
     for _ in range(200):

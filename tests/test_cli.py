@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -362,6 +363,20 @@ class TestVerify:
         monkeypatch.setattr(layer, name, wrong)
         result = verify.run_check(suite, getattr(verify, check))
         assert result == verify.CheckResult(suite, check, False, first)
+
+    @pytest.mark.parametrize(
+        "corpus, digest",
+        [
+            ("_combinatorics_corpus", "e46c966f854f82be1c81a563b9c4975eb3267420a6e5cd834f115d05da9b4ccd"),
+            ("_simplex_corpus", "498a5f9dc7c7efe7387800830fc512c1d15516bc2f0a81a0ee12bff82f53a7b8"),
+        ],
+    )
+    def test_seeded_corpus_is_pinned(self, corpus, digest):
+        # The SHA-256 of the repr of every case the checks draw from their
+        # seeds (floats by repr, so to the bit): a change that drops, adds
+        # or moves a case changes the digest.  The simplex corpus also
+        # runs next_prime on each case.
+        assert hashlib.sha256(repr(getattr(verify, corpus)()).encode()).hexdigest() == digest
 
     def test_diameter_check_runs_each_distinct_profile_once(self, monkeypatch):
         # The eligible corpus profiles in corpus order, each at its first

@@ -354,9 +354,26 @@ class TestPrimes:
             assert next_prime(x) == expected
 
     def test_is_prime_against_sieve(self):
-        primes = set(sieve(5000))
-        for n in range(5000):
+        primes = set(sieve(20_000))
+        for n in range(20_000):
             assert is_prime(n) == (n in primes)
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        [
+            (1369, False),  # 37^2: the largest witness divides it
+            (1669, True),  # the largest prime below 41^2, settled by trial division
+            (1681, False),  # 41^2: no witness divides it, so Miller-Rabin decides
+            (1693, True),  # the smallest prime above 41^2
+            (1763, False),  # 41 * 43
+            (1849, False),  # 43^2
+            (561, False),  # Carmichael numbers: Fermat pseudoprimes to every coprime base
+            (1105, False),
+            (1729, False),
+        ],
+    )
+    def test_is_prime_at_the_trial_division_cut(self, n, prime):
+        assert is_prime(n) == prime
 
     def test_large_input(self):
         p = next_prime(2 ** 61)

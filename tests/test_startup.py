@@ -131,6 +131,36 @@ def test_csv_is_imported_only_for_csv_output(argv, own_imports):
     assert found["own_imports"] == own_imports
 
 
+# Runs chromabound.cli in-process on the argv given as arguments and
+# prints whether json was imported.  PROBE imports json itself before its
+# snapshot, so this probe imports nothing but click and the package first.
+JSON_PROBE = """
+import contextlib, io, sys
+import click
+assert "json" not in sys.modules
+import chromabound.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    chromabound.cli.cli.main(args=sys.argv[1:], prog_name="chromabound", standalone_mode=False)
+print("true" if "json" in sys.modules else "false")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_json",
+    [
+        (["--version"], False),
+        (["verify", "--suite", "all"], False),
+        (["constants"], False),
+        (["table", "--m-max", "2", "--k-max", "2", "--format", "csv"], False),
+        # The positive control shows that the probe sees an import of json.
+        (["constants", "--format", "json"], True),
+    ],
+    ids=["version", "verify", "constants", "table-csv", "constants-json"],
+)
+def test_json_is_imported_only_for_json_output(argv, loads_json):
+    assert run_fresh(JSON_PROBE, *argv) is loads_json
+
+
 def test_importing_cli_registers_every_layer_and_runs_none():
     # perfbench's tracer finds the layers in sys.modules after this import.
     found = fresh([])

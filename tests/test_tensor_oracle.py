@@ -17,6 +17,7 @@ from chromabound import (
     next_prime,
     partition_coefficients,
     simplex_indicator,
+    tensor_oracle,
 )
 
 
@@ -66,6 +67,28 @@ def brute_partition_coefficients(k):
         key = frozenset(blocks)
         out[key] = out.get(key, 0) + (-1) ** inversions
     return {blocks: c for blocks, c in out.items() if c}
+
+
+def cycle_partition_walk(k):
+    """Oracle for tensor_oracle._cycle_partitions: walk the cycles of all
+    k! permutations, label each point by the smallest point of its cycle
+    (the first reached in increasing order), and sum the signs of the
+    non-k-cycles per label row, rows in order."""
+    sums = {}
+    for images in itertools.permutations(range(k)):
+        labels = [-1] * k
+        n_cycles = 0
+        for i in range(k):
+            if labels[i] < 0:
+                n_cycles += 1
+                j = i
+                while labels[j] < 0:
+                    labels[j] = i
+                    j = images[j]
+        if n_cycles > 1:
+            key = tuple(labels)
+            sums[key] = sums.get(key, 0) + (-1 if (k - n_cycles) % 2 else 1)
+    return tuple(sorted(sums.items()))
 
 
 def coincidence_patterns(k, max_blocks):
@@ -162,6 +185,18 @@ class TestPartitionCoefficients:
             rest = {1, 2, 3} - pair
             assert coeffs[SetPartition.of([pair, rest])] == -1
         assert len(coeffs) == 4
+
+    @pytest.mark.parametrize("k", list(range(2, 8)))
+    def test_table_equals_the_permutation_walk(self, k):
+        # The same rows in the same order, so everything read off the
+        # table is unchanged.
+        assert tensor_oracle._cycle_partitions(k) == cycle_partition_walk(k)
+
+    @pytest.mark.parametrize("k", list(range(2, 8)))
+    def test_coefficients_equal_those_of_the_permutation_walk(self, k, monkeypatch):
+        coeffs = partition_coefficients(k)
+        monkeypatch.setattr(tensor_oracle, "_cycle_partitions", cycle_partition_walk)
+        assert list(partition_coefficients(k).items()) == list(coeffs.items())
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_trivial_partition_absent(self, k):
