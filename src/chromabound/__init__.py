@@ -50,6 +50,7 @@ _EXPORTS = {
         "mu_lattice",
         "mu_z",
         "ramanujan_tau",
+        "z_series",
     ),
     "special_functions": (
         "GammaChiResult",

@@ -61,8 +61,15 @@ import math
 from operator import truediv
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .brent import bisect_cells, golden_section_max, runs, survives
-from .special_functions import _stopped_sum, check_positive, check_unit_interval
+from .brent import (
+    _stopped_sum,
+    bisect_cells,
+    check_positive,
+    check_unit_interval,
+    golden_section_max,
+    runs,
+    survives,
+)
 
 
 class _BoundQueryFields(NamedTuple):

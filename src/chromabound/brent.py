@@ -18,6 +18,12 @@ and a proven bound on a cell; the search rules are:
 
 ``optimize`` re-exports ``golden_section_max`` for its grid search,
 which only the tests still run.
+
+Every layer imports this module, so it also holds the package's one
+check of a positive argument (``check_positive``, nan rejected), its
+check of a point of [0, 1] (``check_unit_interval``) and the stopped
+partial sum of both ``special_functions.theta_truncated`` and
+``bound_engine``'s ratio R_l (``_stopped_sum``).
 """
 
 from __future__ import annotations
@@ -53,6 +59,42 @@ _LAST_WIDTH = 2.0 ** -40
 #: margin covers a pow off by an ulp, and exceeds the 2 * top roundings
 #: of the two sums (2.2e-11 at top = 10^5) for every top up to 10^5.
 _SLACK = 1e-10
+
+
+def check_unit_interval(t: float, hi_open: bool, name: str = "t") -> float:
+    """``t`` as a Python float, checked against [0, 1] (or [0, 1) if ``hi_open``).
+
+    NaN lies in neither interval.  An argument that ``float`` cannot
+    convert, such as an array of several points, raises its TypeError.
+    """
+    t = float(t)
+    if not (0.0 <= t and (t < 1.0 if hi_open else t <= 1.0)):
+        rng = "[0, 1)" if hi_open else "[0, 1]"
+        raise ValueError(f"{name} must lie in {rng}")
+    return t
+
+
+def check_positive(value: float, name: str) -> None:
+    """Raise ValueError unless ``value > 0``; NaN fails the test too."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+
+
+def _stopped_sum(q: float, r: float, l: int) -> float:
+    """1 + x_2 + ... + x_l with x_(j+1) = x_j q_j and q_(j+1) = q_j r, q_1 = q.
+
+    Stops at the first term that leaves the sum unchanged.  For q, r in
+    [0, 1] float terms never grow, so that is the full sum bit for bit.
+    """
+    total = term = 1.0
+    for _ in range(l - 1):
+        term = term * q
+        s = total + term
+        if s == total:
+            break
+        total = s
+        q = q * r
+    return total
 
 
 def golden_section_max(

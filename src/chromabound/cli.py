@@ -229,7 +229,7 @@ def table_cmd(m_max: int, k_max: int, tol: float, fmt: str, output: Optional[str
 
 def _mu_for_label(label: str, K: int, tol: float) -> lattice_theta.MuResult:
     if label == "zn":
-        return lattice_theta.mu_z(tol)
+        return lattice_theta.mu_z(tol, K)
     if label == "e8":
         return lattice_theta.mu_capped(lattice_theta.e8_series, K, tol)
     if label == "leech":
@@ -261,7 +261,8 @@ def _mu_for_label(label: str, K: int, tol: float) -> lattice_theta.MuResult:
     # Called only when the option is processed, so that importing this
     # module and --help leave lattice_theta unloaded.
     default=lambda: lattice_theta.DEFAULT_SERIES_LENGTH,
-    help="Cap on the series length: prefixes of 64, 128, ... coefficients are tried up to it.",
+    help="Cap on the series length of every lattice, zn included: prefixes of 64, 128, ..."
+    " coefficients are tried up to it.",
 )
 @_result_options
 def lattice_mu(label: str, series_k: int, tol: float, fmt: str, output: Optional[str]) -> None:

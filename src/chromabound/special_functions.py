@@ -24,12 +24,11 @@ The public evaluators take the series argument as a Python float (an
 int or a numpy scalar is converted with ``float``) and return Python
 floats; ``jacobi_theta_and_tail`` returns the Jacobi value and a bound
 on its truncation remainder.  They are pure functions of their
-arguments, hold no shared state and never import numpy.  Three helpers
-serve the whole package: ``check_positive``, the one check of a positive
-argument (nan rejected); ``_stopped_sum``, the partial sum of both
-``theta_truncated`` and ``bound_engine``'s ratio R_l; and
-``_sparse_power``, the one exact polynomial-power kernel, which raises
-the D_n and tau series of ``lattice_theta`` and the box counts of
+arguments, hold no shared state and never import numpy.  Their argument
+checks and the stopped partial sum of ``theta_truncated`` come from
+``brent``, which ``bound_engine`` shares without loading this module.
+``_sparse_power``, the one exact polynomial-power kernel, raises the
+Z, D_n and tau series of ``lattice_theta`` and the box counts of
 ``lattice_combinatorics``.  ``kupavskii_upper_base``, the base of the
 known upper bound, sits beside ``INV_SQRT_2`` and ``SQRT3_OVER_2``, the
 other reference constants that the ``constants`` command prints.
@@ -38,9 +37,9 @@ other reference constants that the ``constants`` command prints.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
-from .brent import cell_search_max
+from .brent import _stopped_sum, cell_search_max, check_positive, check_unit_interval
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -69,43 +68,7 @@ class GammaChiResult(NamedTuple):
         return abs(math.exp(self.u_star) - 1.0 - 2.0 * self.u_star)
 
 
-def check_unit_interval(t: float, hi_open: bool, name: str = "t") -> float:
-    """``t`` as a Python float, checked against [0, 1] (or [0, 1) if ``hi_open``).
-
-    NaN lies in neither interval.  An argument that ``float`` cannot
-    convert, such as an array of several points, raises its TypeError.
-    """
-    t = float(t)
-    if not (0.0 <= t and (t < 1.0 if hi_open else t <= 1.0)):
-        rng = "[0, 1)" if hi_open else "[0, 1]"
-        raise ValueError(f"{name} must lie in {rng}")
-    return t
-
-
-def check_positive(value: float, name: str) -> None:
-    """Raise ValueError unless ``value > 0``; NaN fails the test too."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive")
-
-
-def _stopped_sum(q: float, r: float, l: int) -> float:
-    """1 + x_2 + ... + x_l with x_(j+1) = x_j q_j and q_(j+1) = q_j r, q_1 = q.
-
-    Stops at the first term that leaves the sum unchanged.  For q, r in
-    [0, 1] float terms never grow, so that is the full sum bit for bit.
-    """
-    total = term = 1.0
-    for _ in range(l - 1):
-        term = term * q
-        s = total + term
-        if s == total:
-            break
-        total = s
-        q = q * r
-    return total
-
-
-def _sparse_power(g: List[int], a: int, limit: int) -> List[int]:
+def _sparse_power(g: Sequence[int], a: int, limit: int) -> List[int]:
     """Coefficients 0..limit of (1 + sum_{i >= 1} g_i q^i)^a; g[0] is taken as 1.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), from f' g = a f g':

@@ -179,12 +179,17 @@ class TestLatticeMu:
         assert "tail_bound" in doc
 
     def test_zn_tail_not_below_tol_fails(self, runner):
-        result = runner.invoke(cli, ["lattice-mu", "--lattice", "zn", "--tol", "1e-30"])
+        # At the default K the tail at zn's maximizer is far below 1e-30,
+        # and the rounding margin ends the run instead; K = 16 leaves a tail
+        # of about 7e-9.
+        result = runner.invoke(
+            cli, ["lattice-mu", "--lattice", "zn", "--K", "16", "--tol", "1e-30"]
+        )
         assert result.exit_code == 1
         assert "not below 1e-30" in result.output
 
     def test_zn_failure_names_tol_not_k(self, runner):
-        # Z has a closed form and no series length K to raise.
+        # A tol below the rounding margin of the proof: no K can help.
         result = runner.invoke(cli, ["lattice-mu", "--lattice", "zn", "--tol", "1e-30"])
         assert result.exit_code == 1
         assert "tol" in result.output.rpartition(";")[2]

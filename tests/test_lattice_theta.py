@@ -20,12 +20,13 @@ from chromabound import (
     mu_lattice,
     mu_z,
     ramanujan_tau,
+    z_series,
 )
 from chromabound import lattice_theta, optimize
 from chromabound.lattice_combinatorics import is_prime
 from chromabound.lattice_theta import DEFAULT_SERIES_LENGTH, MuResult
 from chromabound.optimize import GRID
-from chromabound.special_functions import jacobi_theta, jacobi_theta_and_tail
+from chromabound.special_functions import jacobi_theta
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
@@ -70,18 +71,17 @@ def mu_dn(n):
 
 
 def count_calls(monkeypatch):
-    """Count the calls of the series' evaluators, each on a float t, and of theta3's split."""
-    calls = {"evaluate": 0, "_value_and_slope": 0, "tail_bound": 0, "_theta3_split": 0}
+    """Count the calls of the series' evaluators, each on a float t, Z's included."""
+    calls = {"evaluate": 0, "_value_and_slope": 0, "tail_bound": 0}
     for name in calls:
-        owner = lattice_theta if name == "_theta3_split" else ThetaSeries
-        method = getattr(owner, name)
+        method = getattr(ThetaSeries, name)
 
         def counting(*args, method=method, name=name):
             assert type(args[-1]) is float
             calls[name] += 1
             return method(*args)
 
-        monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(ThetaSeries, name, counting)
     return calls
 
 
@@ -228,6 +228,112 @@ class TestLeechSeries:
         assert leech_series(16).dim == 24
 
 
+def omitted_theta3_terms(K, t):
+    """Oracle: the exact omitted tail  2 sum_{n > isqrt(K)} t^(n^2)  of Z's series, 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        total, n = mpmath.mpf(0), math.isqrt(K) + 1
+        while True:
+            term = 2 * t ** (n * n)
+            total += term
+            if term < total * mpmath.mpf(10) ** -45:
+                return total
+            n += 1
+
+
+class TestZSeries:
+    """Z's series r_1(j) at norm step 1, and the packing bounds on it."""
+
+    def test_coefficients_against_brute_force(self):
+        K = 4096
+        counts = [0] * (K + 1)
+        for n in range(-K, K + 1):
+            if n * n <= K:
+                counts[n * n] += 1
+        series = z_series(K)
+        assert series.coeffs == tuple(counts)
+        assert (series.dim, series.step, series.label) == (1, 1, "Z")
+
+    def test_evaluation_is_theta3(self):
+        series = z_series(512)
+        for t in (0.1, 0.3, 0.5, 0.7):
+            assert series.evaluate(t) == pytest.approx(jacobi_theta(3, t), rel=1e-14)
+            value, slope = series._value_and_slope(t)
+            assert value == series.evaluate(t)
+            exact = 2.0 * sum(n * n * t ** (n * n - 1) for n in range(1, 23))
+            assert slope == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("K", [16, 64, 512])
+    def test_tail_bound_dominates_the_omitted_terms(self, K):
+        # Compared as floats: at K = 512 and t <= 0.2 the omitted sum lies
+        # below the float range, where the bound returns 0.0 too.
+        series = z_series(K)
+        for t in (0.01, 0.05, 0.1, 0.2, 0.28, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+            assert series.tail_bound(t) >= float(omitted_theta3_terms(K, t)), t
+
+    @pytest.mark.parametrize("a", [0.05, 0.2, 0.3, 0.5, 0.8, 0.9, 0.99, 0.999])
+    def test_last_cell_bound_dominates_theta3(self, a):
+        bound = z_series(64)._last_cell_bound(a)
+        points = [a + (1.0 - a) * i / 2000 for i in range(2000)]
+        points += [1.0 - 10.0 ** -e for e in range(4, 13) if 1.0 - 10.0 ** -e >= a]
+        assert max(jacobi_theta(3, t) * (1.0 - t) for t in points) <= bound
+
+
+#: tail_bound and _last_cell_bound at ``_STEP_2_POINTS`` of the K = 64
+#: series of even lattices, as the even-lattice formulas compute them
+#: (t^2 as ``t ** 2``, lam = -2 ln t, a^2 as ``a * a``).  At a = 0.1176,
+#: ``a ** 2`` differs from ``a * a`` in the last bit.
+_STEP_2_POINTS = (0.05, 0.1176, 0.2, 0.3, 0.5, 0.8, 0.95)
+_STEP_2_VALUES = {
+    "E8": (
+        (
+            '0x1.00d142f6a6882p-523', '0x1.55a6bb2ab932ap-365', '0x1.cfee61f34633ep-267',
+            '0x1.0f3b9ca02472bp-191', '0x1.f18139448d594p-97', '0x1.602f68eec6796p-9',
+            '0x1.1b27ad121dfccp+24',
+        ),
+        (
+            '0x1.5ebe8c04623acp+20', '0x1.5c3a9ddecd380p+17', '0x1.25571636a6d0fp+15',
+            '0x1.0b3706321b5fap+13', '0x1.26ba1e2d9fee7p+9', '0x1.8e382070e0d32p+1',
+            '0x1.3da6f80994b1cp-8',
+        ),
+    ),
+    "Leech": (
+        (
+            '0x1.5843a4707939fp-469', '0x1.cd8d11827aa66p-311', '0x1.3c3c42616576dp-212',
+            '0x1.76725d33c7297p-137', '0x1.64d5766006e7cp-42', '0x1.3def73695636ep+46',
+            '0x1.65577a6de7d3ep+82',
+        ),
+        (
+            '0x1.7cae25e5fd3cfp+45', '0x1.6febe7e35f9d3p+41', '0x1.df8688ac485e8p+37',
+            '0x1.e4a0f999f506fp+33', '0x1.6485f46dd6188p+25', '0x1.dccb9b1526055p+5',
+            '0x1.3a53961a99f69p-21',
+        ),
+    ),
+    "D8": (
+        (
+            '0x1.00d142f6a6882p-523', '0x1.55a6bb2ab932ap-365', '0x1.cfee61f34633ep-267',
+            '0x1.0f3b9ca02472bp-191', '0x1.f18139448d594p-97', '0x1.602f68eec6796p-9',
+            '0x1.1b27ad121dfccp+24',
+        ),
+        (
+            '0x1.5ebe8c04623acp+20', '0x1.5c3a9ddecd380p+17', '0x1.25571636a6d0fp+15',
+            '0x1.0b3706321b5fap+13', '0x1.26ba1e2d9fee7p+9', '0x1.8e382070e0d32p+1',
+            '0x1.3da6f80994b1cp-8',
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(_STEP_2_VALUES))
+def test_step_2_bounds_are_the_even_lattice_bounds_bit_for_bit(label):
+    series = {"E8": e8_series, "Leech": leech_series, "D8": lambda K: dn_series(8, K)}[label](64)
+    assert series.step == 2
+    tails, lasts = _STEP_2_VALUES[label]
+    assert [series.tail_bound(t).hex() for t in _STEP_2_POINTS] == list(tails)
+    assert [series._last_cell_bound(a).hex() for a in _STEP_2_POINTS] == list(lasts)
+
+
 class TestMu:
     def test_mu_z(self):
         result = mu_z()
@@ -319,14 +425,17 @@ class TestMu:
         t_stars = {mu_z(tol).t_star for tol in (1e-9, 1e-12, 1e-13)}
         assert len(t_stars) == 1
 
-    def test_tail_bound_is_theta_remainder_at_t_star(self):
+    def test_z_tail_bound_is_packing_tail_at_t_star(self):
+        # Z settles on the first prefix, 64 coefficients.
         z = mu_z()
-        assert z.tail_bound == jacobi_theta_and_tail(3, z.t_star)[1]
+        assert z.tail_bound == z_series(64).tail_bound(z.t_star)
 
     def test_tail_at_t_star_above_tol_raises(self):
+        # At K = 16 the tail at the maximizer is about 7e-9; at the default
+        # K the rounding margin, not the tail, stops a tol of 1e-30.
         assert mu_z(1e-12).tail_bound < 1e-26
         with pytest.raises(TailBoundError, match="at the maximizer"):
-            mu_z(1e-30)
+            mu_z(1e-30, 16)
 
     @pytest.mark.parametrize("n, K", [(2, 1100), (5, 4096)])
     def test_long_dn_series_certifies_no_bound(self, n, K):
@@ -366,7 +475,7 @@ _INTERVAL_CASES = {
 
 
 class TestInterval:
-    """``_mu`` proves [max_value, max_upper] for the maximum of the full objective."""
+    """``mu_lattice`` proves [max_value, max_upper] for the maximum of the full objective."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("label", list(_INTERVAL_CASES))
@@ -419,7 +528,7 @@ class TestInterval:
         calls = count_calls(monkeypatch)
         with pytest.raises(TailBoundError, match="request a larger tol$"):
             run(tol)
-        assert calls["_value_and_slope"] + calls["_theta3_split"] == 0
+        assert calls["_value_and_slope"] == 0
 
     @pytest.mark.parametrize(
         "run, terms, dim",
@@ -427,7 +536,7 @@ class TestInterval:
             (lambda tol: mu_lattice(e8_series(64), tol), 65, 8),
             (lambda tol: mu_lattice(dn_series(16, 512), tol), 513, 16),
             (lambda tol: mu_lattice(dn_series(5, 64), tol), 65, 5),
-            (mu_z, 33, 1),
+            (lambda tol: mu_z(tol, 64), 65, 1),
         ],
         ids=["E8-64", "D16-512", "D5-64", "Z"],
     )
@@ -438,19 +547,19 @@ class TestInterval:
         calls = count_calls(monkeypatch)
         with pytest.raises(TailBoundError, match="exceeds"):
             run(2 * (terms + dim + 16) * 2.0 ** -53)
-        assert 0 < calls["_value_and_slope"] + calls["_theta3_split"] <= 400
+        assert 0 < calls["_value_and_slope"] <= 400
 
 
 def _builder(label):
-    """The series builder of a CLI lattice label: e8, leech or dn:<n>."""
+    """The series builder of a CLI lattice label: zn, e8, leech or dn:<n>."""
     if label.startswith("dn:"):
         n = int(label[len("dn:"):])
         return lambda K: dn_series(n, K)
-    return {"e8": e8_series, "leech": leech_series}[label]
+    return {"zn": z_series, "e8": e8_series, "leech": leech_series}[label]
 
 
 def _golden_series_cases():
-    """(label, K) of every golden lattice-mu case that builds a series."""
+    """(label, K) of every golden lattice-mu case."""
     spec = importlib.util.spec_from_file_location(
         "golden_generate", Path(__file__).parent / "golden" / "generate.py"
     )
@@ -458,8 +567,7 @@ def _golden_series_cases():
     spec.loader.exec_module(golden)
     for _, args in golden.CASES["lattice_mu"]:
         options = dict(zip(args[1::2], args[2::2]))
-        if options["--lattice"] != "zn":
-            yield options["--lattice"], int(options.get("--K", DEFAULT_SERIES_LENGTH))
+        yield options["--lattice"], int(options.get("--K", DEFAULT_SERIES_LENGTH))
 
 
 _PREFIX_CASES = list(
@@ -520,6 +628,8 @@ class TestPrefix:
             ("dn:21", 28, [28]),  # fails at the cap
             ("leech", 24, [24]),  # fails at K, as before
             ("leech", 63, [63]),
+            ("zn", 8192, [64]),
+            ("zn", 16, [16]),  # fails at the cap
         ],
     )
     def test_schedule(self, label, K, lengths):
@@ -564,7 +674,7 @@ _SEARCH_CASES = {
 
 
 class TestSearchAgainstGrid:
-    """The cell search of ``_mu`` against the grid protocol it replaced:
+    """The cell search of ``mu_lattice`` against the grid protocol it replaced:
     ``optimize.maximize_on_unit_interval`` on the same objective."""
 
     @pytest.mark.parametrize("case", list(_SEARCH_CASES), ids=list(_SEARCH_CASES))
@@ -592,7 +702,7 @@ def _truncations(full, ks):
 
 class TestCertification:
     """``ThetaSeries.tail_bound`` rises in t up to t^2 = K/(K+1); no proof
-    of ``_mu`` relies on it."""
+    of ``mu_lattice`` relies on it."""
 
     @pytest.mark.parametrize(
         "series",

@@ -27,7 +27,7 @@ RECORDS = [
         dict(m=2, k=1, gamma=1 / 3, l_star=4, t_star=0.5, value=1.46, warning=None),
         ("warning", "k > m: bound may be trivial"),
     ),
-    (ThetaSeries, dict(dim=8, coeffs=(1, 240, 2160), label="E8"), ("label", "")),
+    (ThetaSeries, dict(dim=8, coeffs=(1, 240, 2160), label="E8", step=2), ("label", "")),
     (
         MuResult,
         dict(lattice_label="E8", dim=8, t_star=0.28, mu=0.88, max_value=2.68,
@@ -87,6 +87,7 @@ class TestRecordContract:
         (lambda: BoundQuery(m=1, k=0), ValueError, "m and k must be positive"),
         (lambda: ThetaSeries(0, (1,)), ValueError, "dim must be a positive"),
         (lambda: ThetaSeries(dim=8, coeffs=(2, 240)), ValueError, "zero vector"),
+        (lambda: ThetaSeries(1, (1, 2), "Z", 0), ValueError, "step must be a positive"),
         (lambda: ThetaSeries(8, ()), ValueError, "zero vector"),
         (lambda: ThetaSeries(8, (1, -1), "bad"), ValueError, "nonnegative"),
         (lambda: CompositionProfile(()), ValueError, "nonempty"),
@@ -105,7 +106,7 @@ class TestRecordContract:
         (lambda: PointConfig(((0, 0),), p=5, m=1)._replace(p=6), ValueError, "not prime"),
     ],
     ids=[
-        "BoundQuery-m", "BoundQuery-k", "ThetaSeries-dim", "ThetaSeries-zero",
+        "BoundQuery-m", "BoundQuery-k", "ThetaSeries-dim", "ThetaSeries-zero", "ThetaSeries-step",
         "ThetaSeries-empty", "ThetaSeries-negative", "CompositionProfile-empty",
         "CompositionProfile-negative", "SetPartition-empty", "SetPartition-gap",
         "PointConfig-prime", "PointConfig-parity", "PointConfig-empty", "PointConfig-m",

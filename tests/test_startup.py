@@ -70,7 +70,7 @@ def fresh(argv):
 # Every lattice, Leech and D_n included, since their power kernel
 # _sparse_power lives in special_functions.
 LATTICE_LAYERS = ["brent", "lattice_theta", "special_functions"]
-SCALAR_LAYERS = ["bound_engine", "brent", "special_functions"]
+SCALAR_LAYERS = ["bound_engine", "brent"]
 # lattice_combinatorics takes _sparse_power from special_functions, which
 # takes its cell search from brent.
 COMBINATORICS_LAYERS = ["brent", "lattice_combinatorics", "special_functions"]
@@ -83,7 +83,7 @@ COMBINATORICS_LAYERS = ["brent", "lattice_combinatorics", "special_functions"]
         (["bound", "--help"], []),
         (["lattice-mu", "--help"], []),
         # The bound search takes its argument checks and its series kernel
-        # (_stopped_sum) from special_functions.
+        # (_stopped_sum) from brent, so it runs no special_functions.
         (["bound", "--m", "1", "--k", "1"], SCALAR_LAYERS),
         (["table", "--m-max", "2", "--k-max", "2"], SCALAR_LAYERS),
         # The mu search is pure Python; no command runs optimize.
@@ -93,7 +93,8 @@ COMBINATORICS_LAYERS = ["brent", "lattice_combinatorics", "special_functions"]
         (["verify", "--suite", "all"], sorted(n for n in LAYERS if n not in ("lattice_theta", "optimize"))),
         # Each suite runs only the layers its checks call.
         (["verify", "--suite", "theta"], ["brent", "special_functions", "verify"]),
-        (["verify", "--suite", "bounds"], [*SCALAR_LAYERS, "verify"]),
+        # Its checks compare the engine with special_functions' theta sums.
+        (["verify", "--suite", "bounds"], sorted([*SCALAR_LAYERS, "special_functions", "verify"])),
         (["verify", "--suite", "combinatorics"], [*COMBINATORICS_LAYERS, "verify"]),
         (["verify", "--suite", "tensor"], sorted([*COMBINATORICS_LAYERS, "tensor_oracle", "verify"])),
         (["lattice-mu", "--lattice", "dn:16"], LATTICE_LAYERS),
